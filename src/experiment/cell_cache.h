@@ -49,10 +49,10 @@ namespace aql {
 // Bump on any change to simulation semantics or the record layout; doing so
 // orphans (not corrupts) every existing cache entry. v3: sweep/cell-id left
 // the key (cross-sweep dedup) and the fingerprint grew the full machine
-// configuration. v4: multi-socket machines run the socket-island engine
-// (per-VM socket placement, per-VM RNG streams, socket-filtered
-// stealing/wakes), which changed their trajectories; --socket-threads is
-// NOT in the key — any thread count reproduces the entry's bytes.
+// configuration. v4: multi-socket machines gained per-VM socket placement,
+// per-VM RNG streams and socket-filtered stealing/wakes, which changed
+// their trajectories. --island-threads is NOT in the key — any fleet
+// host-island thread count reproduces the entry's bytes.
 inline constexpr const char* kCellCacheEngineVersion = "aql-cell-cache-v4";
 
 struct CellCacheKey {

@@ -26,13 +26,6 @@ struct RunOptions {
   // result is byte-identical at every setting (tests/fleet_parallel_test.cc
   // proves it differentially); single-machine scenarios ignore it.
   int island_threads = 1;
-  // Single-machine scenarios on a multi-socket topology: worker threads
-  // advancing socket islands between synchronization horizons. Execution-
-  // only, exactly like island_threads: the result is byte-identical at
-  // every setting (tests/machine_parallel_test.cc proves it
-  // differentially); single-socket machines and fleet scenarios ignore it
-  // (the fleet owns the thread budget — see src/fleet/fleet.cc).
-  int socket_threads = 1;
 };
 
 struct ScenarioResult {

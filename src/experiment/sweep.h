@@ -61,12 +61,6 @@ struct SweepOptions {
   // stable JSON and the cell-cache key are independent of it by contract
   // (tests/fleet_parallel_test.cc, docs/BENCH_FORMAT.md).
   int island_threads = 1;
-  // Multi-socket single-machine cells: worker threads advancing socket
-  // islands inside one cell (`--socket-threads`). Same contract as
-  // island_threads — execution-only, invisible to stable JSON and the
-  // cell-cache key (tests/machine_parallel_test.cc, docs/BENCH_FORMAT.md);
-  // single-socket machines and fleet cells ignore it.
-  int socket_threads = 1;
   // Cell-result cache directory (`--cache-dir`); empty disables caching.
   // See src/experiment/cell_cache.h for the key and invalidation contract.
   std::string cache_dir;

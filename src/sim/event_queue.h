@@ -1,8 +1,11 @@
 // Discrete-event timer core.
 //
-// The queue orders callbacks by (time, sequence number) so that events
-// scheduled earlier at the same timestamp run first — this makes simulations
-// fully deterministic. Two kinds of events share one sequence counter (and
+// The queue orders callbacks by (time, rank, sequence number): at equal
+// timestamps a lower tie-break rank runs first, and within a rank events
+// scheduled earlier run first — this makes simulations fully deterministic.
+// Callers that do not care pass no rank and get kDefaultRank, which sorts
+// last (a multi-socket Machine ranks each socket's events by socket index,
+// see src/hv/machine.h). Two kinds of events share one sequence counter (and
 // therefore one total order):
 //
 //  * Dynamic events (ScheduleAt): one-shot callbacks stored in a slab and
@@ -15,9 +18,10 @@
 //    most one outstanding deadline, for high-frequency periodic deadlines
 //    that are re-armed constantly (the dispatcher's per-pCPU segment timer).
 //    Re-arming overwrites the deadline in place — no heap traffic, no
-//    allocation, no cancellation bookkeeping. Arming draws a sequence number
-//    from the shared counter, so slots interleave with dynamic events
-//    exactly as if they had been ScheduleAt'd.
+//    allocation, no cancellation bookkeeping. A slot's rank is fixed at
+//    registration; arming draws a sequence number from the shared counter,
+//    so slots interleave with dynamic events exactly as if they had been
+//    ScheduleAt'd with that rank.
 //
 // The pop path takes the minimum of the heap front (dead entries skimmed
 // lazily) and a linear scan over the slots; slot counts are tiny (one per
@@ -40,6 +44,10 @@ namespace aql {
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
+// Tie-break rank among events at one timestamp: lower ranks run first.
+using EventRank = uint8_t;
+inline constexpr EventRank kDefaultRank = 0xFF;
+
 // Wall-clock cost of the pop machinery itself (entry selection and slab /
 // heap bookkeeping, excluding callback execution), accumulated only when a
 // profile sink is attached (aql_bench --profile).
@@ -58,21 +66,22 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Schedules `cb` to run at absolute time `when`. `when` must not be in the
-  // past relative to the last popped event.
-  EventId ScheduleAt(TimeNs when, Callback cb);
+  // Schedules `cb` to run at absolute time `when`, tie-broken by `rank`.
+  // `when` must not be in the past relative to the last popped event.
+  EventId ScheduleAt(TimeNs when, Callback cb, EventRank rank = kDefaultRank);
 
   // Cancels a pending event. Returns true if the event was still pending;
   // ids that already fired or were already cancelled are a checked no-op.
   bool Cancel(EventId id);
 
-  // Registers a permanent timer slot with a fixed callback and no armed
-  // deadline. Must not be called from inside a slot callback (the callback
-  // lives in the slot table).
-  SlotId RegisterSlot(Callback cb);
+  // Registers a permanent timer slot with a fixed callback and tie-break
+  // rank and no armed deadline. Must not be called from inside a slot
+  // callback (the callback lives in the slot table).
+  SlotId RegisterSlot(Callback cb, EventRank rank = kDefaultRank);
 
   // Arms (or re-arms, overwriting any pending deadline) `slot` to fire at
-  // `when`. Draws a fresh sequence number, exactly like ScheduleAt would.
+  // `when`. Draws a fresh sequence number, exactly like ScheduleAt with the
+  // slot's rank would.
   void ArmSlot(SlotId slot, TimeNs when);
 
   // Disarms `slot`; a no-op if it is not armed.
@@ -103,9 +112,11 @@ class EventQueue {
   void set_profile(EventCoreProfile* profile) { profile_ = profile; }
 
  private:
+  // `key` packs (rank, seq) into one integer — rank in the top 8 bits — so
+  // the tie-break costs the same single compare as a plain sequence number.
   struct HeapEntry {
     TimeNs when;
-    uint64_t seq;
+    uint64_t key;
     uint32_t index;  // slab index
   };
   struct SlabEntry {
@@ -116,14 +127,15 @@ class EventQueue {
   struct Slot {
     Callback cb;
     TimeNs when = 0;
-    uint64_t seq = 0;
+    uint64_t key = 0;
+    EventRank rank = kDefaultRank;
     bool armed = false;
   };
   // Earliest live event: a slot index, or the heap front (slot == -1), or
   // nothing (any == false).
   struct Best {
     TimeNs when = 0;
-    uint64_t seq = 0;
+    uint64_t key = 0;
     int slot = -1;
     bool any = false;
   };
@@ -132,7 +144,12 @@ class EventQueue {
     if (a.when != b.when) {
       return a.when > b.when;
     }
-    return a.seq > b.seq;
+    return a.key > b.key;
+  }
+
+  static constexpr int kRankShift = 56;
+  uint64_t NextKey(EventRank rank) {
+    return (static_cast<uint64_t>(rank) << kRankShift) | next_seq_++;
   }
 
   // Drops cancelled entries from the front of the heap and recycles their
@@ -147,7 +164,7 @@ class EventQueue {
     return (static_cast<EventId>(index + 1) << 32) | generation;
   }
 
-  mutable std::vector<HeapEntry> heap_;  // binary min-heap by (when, seq)
+  mutable std::vector<HeapEntry> heap_;  // binary min-heap by (when, key)
   mutable std::vector<SlabEntry> slab_;
   mutable std::vector<uint32_t> free_;  // recycled slab indices
   std::vector<Slot> slots_;

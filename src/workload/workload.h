@@ -87,10 +87,10 @@ class WorkloadHost {
 
   virtual TimeNs Now() const = 0;
 
-  // Deterministic random stream for the model attached to `vcpu`. The
-  // stream's scope is per VM (vCPUs of one VM share it): that is what a
-  // guest OS's entropy looks like, and it keeps the stream island-local
-  // under socket parallelism — a VM's vCPUs always share an island.
+  // Deterministic random stream for the model attached to `vcpu`. On a
+  // multi-socket Machine the stream's scope is per VM (vCPUs of one VM
+  // share it), which is what a guest OS's entropy looks like; single-socket
+  // Machines keep one machine-wide stream.
   virtual Rng& WorkloadRng(int vcpu) = 0;
 
   // Schedules `OnTimer(tag)` on the model attached to `vcpu` at time `when`.

@@ -2,6 +2,7 @@
 // RNG seeding), the sweep registry, JSON emission, quick-mode scaling,
 // --profile containment, and byte-compares against the committed goldens.
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -281,20 +282,20 @@ TEST(SweepEngineTest, ProfileNeverEntersStableJson) {
 }
 
 TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
-  // barrier_wait is the coordinator's wall time blocked at socket-island
+  // barrier_wait is the coordinator's wall time blocked at fleet host-island
   // barriers — a host-clock measurement like the rest of --profile, so it
-  // must ride with the timing fields only. Profiled at --socket-threads 4
-  // on a multi-socket sweep (the only configuration that can produce a
-  // nonzero value), the stable JSON must stay byte-identical to the
-  // unprofiled sequential run.
-  const SweepSpec* spec = SweepRegistry::Instance().Find("fig6_effectiveness");
+  // must ride with the timing fields only. Profiled at --island-threads 4
+  // on a fleet sweep (the only configuration that can produce a nonzero
+  // value), the stable JSON must stay byte-identical to the unprofiled
+  // sequential run.
+  const SweepSpec* spec = SweepRegistry::Instance().Find("fleet_drain");
   ASSERT_NE(spec, nullptr);
   SweepOptions plain;
   plain.quick = true;
   plain.jobs = 1;
   SweepOptions profiled = plain;
   profiled.profile = true;
-  profiled.socket_threads = 4;
+  profiled.island_threads = 4;
 
   const SweepResult r_plain = RunSweep(*spec, plain);
   const SweepResult r_profiled = RunSweep(*spec, profiled);
@@ -308,37 +309,45 @@ TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
   // which is deterministic and belongs in stable JSON. Only the host-clock
   // profile phase is banned.
   EXPECT_EQ(stable_profiled.find("barrier_wait_seconds"), std::string::npos);
-  EXPECT_EQ(stable_profiled.find("socket_threads"), std::string::npos);
+  EXPECT_EQ(stable_profiled.find("island_threads"), std::string::npos);
 
   const std::string timed = SweepJson(r_profiled, /*include_timing=*/true).Dump();
   EXPECT_NE(timed.find("\"barrier_wait_seconds\""), std::string::npos);
-  EXPECT_NE(timed.find("\"socket_threads\""), std::string::npos);
+  EXPECT_NE(timed.find("\"island_threads\""), std::string::npos);
 }
 
 #ifdef AQL_GOLDEN_DIR
+std::string ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << "missing file: " << path;
+  std::ostringstream text;
+  text << f.rdbuf();
+  return text.str();
+}
+
+// Byte-compares a --stable-json run of `options` over `sweep` against the
+// committed golden at `golden` (relative to tests/goldens/).
+void ExpectMatchesGoldenFile(const char* sweep, const SweepOptions& options,
+                             const std::string& golden) {
+  const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
+  ASSERT_NE(spec, nullptr) << sweep;
+  const SweepResult result = RunSweep(*spec, options);
+  EXPECT_EQ(SweepJson(result, /*include_timing=*/false).Dump(),
+            ReadFile(std::string(AQL_GOLDEN_DIR) + "/" + golden))
+      << sweep << ": stable JSON diverged from the committed golden " << golden
+      << " — the engine changed results, not just speed";
+}
+
 // Byte-compares a quick-mode --stable-json run of `sweep` against the golden
 // captured from main before the engine overhaul (tests/goldens/README.md).
 // CI's bench-merge job covers all registered sweeps the same way; here we
-// pin two cheap representative ones into every ctest run.
-void ExpectMatchesGolden(const char* sweep, int island_threads = 1,
-                         int socket_threads = 1) {
-  const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
-  ASSERT_NE(spec, nullptr) << sweep;
+// pin the cheap representative ones into every ctest run.
+void ExpectMatchesGolden(const char* sweep, int island_threads = 1) {
   SweepOptions options;
   options.quick = true;
   options.jobs = 1;
   options.island_threads = island_threads;
-  options.socket_threads = socket_threads;
-  const SweepResult result = RunSweep(*spec, options);
-  const std::string path =
-      std::string(AQL_GOLDEN_DIR) + "/quick/BENCH_" + sweep + ".json";
-  std::ifstream f(path, std::ios::binary);
-  ASSERT_TRUE(f.good()) << "missing golden: " << path;
-  std::ostringstream golden;
-  golden << f.rdbuf();
-  EXPECT_EQ(SweepJson(result, /*include_timing=*/false).Dump(), golden.str())
-      << sweep << ": stable JSON diverged from the committed golden — the "
-      << "engine changed results, not just speed";
+  ExpectMatchesGoldenFile(sweep, options, std::string("quick/BENCH_") + sweep + ".json");
 }
 
 TEST(GoldenTest, Table5QuickMatchesCommittedGolden) {
@@ -391,15 +400,51 @@ TEST(GoldenTest, FleetGoldensReproduceWithParallelIslands) {
   }
 }
 
-// Same pin one level down: the multi-socket goldens (re-baselined once for
-// the socket-island engine, tests/goldens/README.md) reproduce with socket
-// islands running on worker threads — --socket-threads is execution-only,
-// so no re-baselining is ever allowed for a thread-count change (see
-// tests/machine_parallel_test.cc for the full differential sweep).
-TEST(GoldenTest, MultiSocketGoldensReproduceWithSocketIslands) {
-  for (const char* sweep : {"fig6_effectiveness", "fig6x_numa"}) {
-    ExpectMatchesGolden(sweep, /*island_threads=*/1, /*socket_threads=*/4);
+// The multi-socket sweeps pin the (time, rank, seq) event order: socket
+// events tie-break in socket order, ahead of accounting, monitor and run
+// sentinels (src/sim/simulation.h). A wrong tie order shows up here.
+TEST(GoldenTest, MultiSocketQuickGoldensMatch) {
+  for (const char* sweep : {"fig6_effectiveness", "fig6x_numa", "fig7_customization",
+                            "table3x_recognition"}) {
+    ExpectMatchesGolden(sweep);
   }
+}
+
+// Full-mode §3.5 complex case under AQL (three usable sockets, 48 vCPUs,
+// cross-socket pool re-homing). Quick mode is too short to tell a
+// coordinator-last order from the per-socket rank order; this cell is not.
+TEST(GoldenTest, FullFourSocketAqlCellMatchesCommittedGolden) {
+  SweepOptions options;
+  options.jobs = 1;
+  options.only_cell = "four_socket/aql";
+  ExpectMatchesGoldenFile("fig6_effectiveness", options,
+                          "full/BENCH_fig6_effectiveness.four_socket_aql.json");
+}
+
+// README.md lists every registered sweep by name; the list and its count
+// must follow the registry.
+TEST(DocsTest, ReadmeListsEveryRegisteredSweep) {
+  std::vector<std::string> registered;
+  for (const SweepSpec* spec : SweepRegistry::Instance().All()) {
+    registered.push_back(spec->name);
+  }
+  const std::string readme = ReadFile(std::string(AQL_SOURCE_DIR) + "/README.md");
+  const std::string lead =
+      "The " + std::to_string(registered.size()) + " registered sweeps: ";
+  const size_t begin = readme.find(lead);
+  ASSERT_NE(begin, std::string::npos) << "README.md lacks \"" << lead << "\"";
+  // The list runs to the first '.' (sweep names hold none); every second
+  // backtick-delimited token is a name.
+  std::istringstream list(readme.substr(begin, readme.find('.', begin) - begin));
+  std::vector<std::string> listed;
+  std::string token;
+  for (int i = 0; std::getline(list, token, '`'); ++i) {
+    if (i % 2 == 1) {
+      listed.push_back(token);
+    }
+  }
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(listed, registered);
 }
 #endif  // AQL_GOLDEN_DIR
 

@@ -1,11 +1,12 @@
 // Stress tests for the timer core (src/sim/event_queue.h): the slab/heap
 // dynamic path and the per-slot one-outstanding-deadline path must pop in
-// exactly the order a plain priority queue over (when, seq) would — ties
-// included — under arbitrary schedule/cancel/arm/disarm interleavings.
+// exactly the order a plain priority queue over (when, rank, seq) would —
+// ties included — under arbitrary schedule/cancel/arm/disarm interleavings.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,15 +17,15 @@
 namespace aql {
 namespace {
 
-// Reference model: every live event as an explicit (when, seq) record,
-// popped by scanning for the lexicographic minimum. Slots are modelled as
-// cancel-old + schedule-new with a fresh sequence number, which is exactly
-// the contract ArmSlot promises.
+// Reference model: every live event as an explicit (when, rank, seq)
+// record, popped by scanning for the lexicographic minimum. Slots are
+// modelled as cancel-old + schedule-new with the slot's rank and a fresh
+// sequence number, which is exactly the contract ArmSlot promises.
 class ReferenceQueue {
  public:
-  uint64_t Schedule(TimeNs when) {
+  uint64_t Schedule(TimeNs when, EventRank rank) {
     const uint64_t token = next_token_++;
-    live_[token] = {when, next_seq_++};
+    live_[token] = {when, rank, next_seq_++};
     return token;
   }
 
@@ -33,12 +34,11 @@ class ReferenceQueue {
   bool Empty() const { return live_.empty(); }
   size_t Size() const { return live_.size(); }
 
-  // Pops the earliest (when, seq) record; returns its token.
+  // Pops the earliest (when, rank, seq) record; returns its token.
   uint64_t PopBest(TimeNs* when_out) {
     auto best = live_.begin();
     for (auto it = live_.begin(); it != live_.end(); ++it) {
-      if (it->second.when < best->second.when ||
-          (it->second.when == best->second.when && it->second.seq < best->second.seq)) {
+      if (it->second < best->second) {
         best = it;
       }
     }
@@ -50,13 +50,9 @@ class ReferenceQueue {
 
   TimeNs NextTime() const {
     TimeNs best = kTimeInfinite;
-    uint64_t best_seq = ~0ull;
     for (const auto& [token, rec] : live_) {
       (void)token;
-      if (rec.when < best || (rec.when == best && rec.seq < best_seq)) {
-        best = rec.when;
-        best_seq = rec.seq;
-      }
+      best = std::min(best, rec.when);
     }
     return best;
   }
@@ -64,7 +60,11 @@ class ReferenceQueue {
  private:
   struct Record {
     TimeNs when;
+    EventRank rank;
     uint64_t seq;
+    bool operator<(const Record& o) const {
+      return std::tie(when, rank, seq) < std::tie(o.when, o.rank, o.seq);
+    }
   };
   std::map<uint64_t, Record> live_;
   uint64_t next_token_ = 1;
@@ -84,27 +84,39 @@ TEST(TimerCoreStressTest, MatchesReferenceUnderRandomInterleavings) {
     std::vector<uint64_t> popped;       // tokens, in queue pop order
     std::vector<uint64_t> ref_popped;   // tokens, in reference pop order
 
-    // Fixed slots with their own pop logs.
+    // Ranks are drawn from a small set, the default included, so equal
+    // timestamps tie across ranks and within one.
+    const auto draw_rank = [&rng]() -> EventRank {
+      const int64_t r = rng.UniformInt(0, 3);
+      return r == 3 ? kDefaultRank : static_cast<EventRank>(r);
+    };
+
+    // Fixed slots with their own ranks and pop logs.
     constexpr int kSlots = 3;
     EventQueue::SlotId slots[kSlots];
+    EventRank slot_ranks[kSlots];
     uint64_t slot_tokens[kSlots] = {0, 0, 0};
     for (int s = 0; s < kSlots; ++s) {
       const int slot_index = s;
-      slots[s] = q.RegisterSlot([&popped, &slot_tokens, slot_index](TimeNs) {
-        popped.push_back(slot_tokens[slot_index]);
-        slot_tokens[slot_index] = 0;
-      });
+      slot_ranks[s] = draw_rank();
+      slots[s] = q.RegisterSlot(
+          [&popped, &slot_tokens, slot_index](TimeNs) {
+            popped.push_back(slot_tokens[slot_index]);
+            slot_tokens[slot_index] = 0;
+          },
+          slot_ranks[s]);
     }
 
     for (int op = 0; op < 4000; ++op) {
       const int64_t kind = rng.UniformInt(0, 9);
       if (kind <= 3) {
-        // Schedule a dynamic event; cluster times to force (when, seq) ties.
+        // Schedule a dynamic event; cluster times to force (when, rank)
+        // ties.
         const TimeNs when = q.Now() + rng.UniformInt(0, 12);
-        const uint64_t token = ref.Schedule(when);
-        ids[token] = q.ScheduleAt(when, [&popped, token](TimeNs) {
-          popped.push_back(token);
-        });
+        const EventRank rank = draw_rank();
+        const uint64_t token = ref.Schedule(when, rank);
+        ids[token] = q.ScheduleAt(
+            when, [&popped, token](TimeNs) { popped.push_back(token); }, rank);
         pending_tokens.push_back(token);
       } else if (kind <= 5 && !pending_tokens.empty()) {
         // Cancel a random pending-or-fired dynamic event. The two sides must
@@ -120,7 +132,7 @@ TEST(TimerCoreStressTest, MatchesReferenceUnderRandomInterleavings) {
         if (slot_tokens[s] != 0) {
           ref.Cancel(slot_tokens[s]);
         }
-        slot_tokens[s] = ref.Schedule(when);
+        slot_tokens[s] = ref.Schedule(when, slot_ranks[s]);
         q.ArmSlot(slots[s], when);
       } else if (kind == 7) {
         const int s = static_cast<int>(rng.UniformInt(0, kSlots - 1));
@@ -237,6 +249,23 @@ TEST(TimerCoreTest, SlotAndDynamicEventsShareTheTieBreakOrder) {
   while (q.RunNext()) {
   }
   EXPECT_EQ(order, (std::vector<int>{3, 100}));
+
+  // At equal time a lower rank runs first whatever its sequence number,
+  // the default rank runs last, and sequence order holds within a rank.
+  order.clear();
+  const EventQueue::SlotId rank1_slot =
+      q.RegisterSlot([&](TimeNs) { order.push_back(101); }, /*rank=*/1);
+  q.ScheduleAt(30, [&](TimeNs) { order.push_back(4); });  // default rank
+  q.ScheduleAt(30, [&](TimeNs) { order.push_back(5); }, /*rank=*/2);
+  q.ArmSlot(rank1_slot, 30);
+  q.ScheduleAt(30, [&](TimeNs) { order.push_back(6); }, /*rank=*/1);
+  q.ScheduleAt(30, [&](TimeNs) { order.push_back(7); }, /*rank=*/0);
+  q.ArmSlot(slot, 30);  // default rank, sequenced after "4"
+  q.ScheduleAt(30, [&](TimeNs) { order.push_back(8); }, kDefaultRank);
+  q.ScheduleAt(29, [&](TimeNs) { order.push_back(9); });  // earlier time wins
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{9, 7, 101, 6, 5, 4, 100, 8}));
 }
 
 TEST(TimerCoreTest, RunNextIfBeforeHonorsDeadline) {
