@@ -51,9 +51,11 @@ namespace aql {
 // the key (cross-sweep dedup) and the fingerprint grew the full machine
 // configuration. v4: multi-socket machines gained per-VM socket placement,
 // per-VM RNG streams and socket-filtered stealing/wakes, which changed
-// their trajectories. --island-threads is NOT in the key — any fleet
-// host-island thread count reproduces the entry's bytes.
-inline constexpr const char* kCellCacheEngineVersion = "aql-cell-cache-v4";
+// their trajectories. v5: LLC eviction became class-scaled and
+// real-valued, which moved every cell that overflows an LLC.
+// --island-threads is NOT in the key — any fleet host-island thread count
+// reproduces the entry's bytes.
+inline constexpr const char* kCellCacheEngineVersion = "aql-cell-cache-v5";
 
 struct CellCacheKey {
   uint64_t derived_seed = 0;

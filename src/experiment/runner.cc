@@ -19,6 +19,16 @@ double ScenarioResult::GroupPrimary(const std::string& group) const {
 
 namespace {
 
+// --profile keys for the LLC model's exact work counters.
+void AddLlcCounters(const LlcCounters& c, std::map<std::string, double>& profile) {
+  profile["llc_commits"] = static_cast<double>(c.commits);
+  profile["llc_overflow_commits"] = static_cast<double>(c.overflow_commits);
+  profile["llc_class_rescales"] = static_cast<double>(c.class_rescales);
+  profile["llc_renormalizations"] = static_cast<double>(c.renormalizations);
+  profile["llc_memo_hits"] = static_cast<double>(c.memo_hits);
+  profile["llc_memo_misses"] = static_cast<double>(c.memo_misses);
+}
+
 // Builds the per-host controller a PolicySpec describes; shared by the
 // single-machine path (inline) and the fleet path (as a factory invoked per
 // host build). Returns nullptr for native Xen.
@@ -165,6 +175,7 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
     result.profile["llc_seconds"] = phase_profile.llc_seconds;
     result.profile["scheduler_seconds"] = phase_profile.scheduler_seconds;
     result.profile["barrier_wait_seconds"] = phase_profile.barrier_wait_seconds;
+    AddLlcCounters(phase_profile.llc, result.profile);
   }
 
   const auto wall_end = std::chrono::steady_clock::now();
@@ -253,6 +264,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
   machine.ResetAllMetrics();
   events += sim.RunUntil(t_end);
   const auto sim_wall_end = std::chrono::steady_clock::now();
+  phase_profile.llc += machine.llc().counters();
 
   ScenarioResult result;
   result.scenario = spec.name;
@@ -298,6 +310,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
     result.profile["llc_seconds"] = phase_profile.llc_seconds;
     result.profile["scheduler_seconds"] = phase_profile.scheduler_seconds;
     result.profile["barrier_wait_seconds"] = phase_profile.barrier_wait_seconds;
+    AddLlcCounters(phase_profile.llc, result.profile);
   }
 
   const auto wall_end = std::chrono::steady_clock::now();

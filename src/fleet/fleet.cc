@@ -282,6 +282,7 @@ void FleetRun::TeardownHost(int h, TimeNs now) {
   HostState& host = hosts_[static_cast<size_t>(h)];
   SnapshotHost(host, now);
   if (host.machine != nullptr) {
+    host.profile.llc += host.machine->llc().counters();
     // Save durable workload progress (checkpointing models) before the
     // machine goes away; the next build restores it.
     for (size_t i = 0; i < host.vms.size(); ++i) {
@@ -982,6 +983,10 @@ FleetResult FleetRun::Run() {
       spec_.profile->event_core.events += host.profile.event_core.events;
       spec_.profile->llc_seconds += host.profile.llc_seconds;
       spec_.profile->scheduler_seconds += host.profile.scheduler_seconds;
+      spec_.profile->llc += host.profile.llc;
+      if (host.machine != nullptr) {
+        spec_.profile->llc += host.machine->llc().counters();
+      }
     }
   }
   Finalize(result_);

@@ -72,6 +72,9 @@ struct MachineConfig {
 struct SimPhaseProfile {
   EventCoreProfile event_core;  // pop machinery, excluding callbacks
   double llc_seconds = 0.0;     // LLC/bus math in BeginStep
+  // Exact LLC work counters, folded in when a machine finishes or a fleet
+  // host is torn down.
+  LlcCounters llc;
   double scheduler_seconds = 0.0;  // controller monitor-period work
   // Fleet runs only: coordinator wall time blocked at host-island barriers
   // waiting for straggler workers (WorkPool). Zero for a single machine.

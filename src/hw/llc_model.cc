@@ -10,177 +10,159 @@ LlcModel::LlcModel(int sockets, uint64_t capacity_bytes, const HwParams& params)
     : capacity_(capacity_bytes), params_(params), sockets_(static_cast<size_t>(sockets)) {
   AQL_CHECK(sockets >= 1);
   AQL_CHECK(capacity_bytes > 0);
+  const double w = params.running_eviction_weight;
+  AQL_CHECK(w >= 0.0 && w <= 1.0);
+}
+
+LlcModel::Slot& LlcModel::SlotOf(int socket, int vcpu) {
+  AQL_CHECK(vcpu >= 0);
+  SocketState& s = At(socket);
+  if (static_cast<size_t>(vcpu) >= s.slots.size()) {
+    s.slots.resize(static_cast<size_t>(vcpu) + 1);
+  }
+  return s.slots[static_cast<size_t>(vcpu)];
+}
+
+double LlcModel::Leave(SocketState& s, Slot& slot) {
+  const double bytes = OccupancyOf(s, slot);
+  s.bytes[slot.cls] -= bytes;
+  slot.stake = 0.0;
+  return bytes;
+}
+
+void LlcModel::Join(SocketState& s, Slot& slot, Class cls, double bytes) {
+  s.bytes[cls] += bytes;
+  slot.cls = cls;
+  if (s.factor[cls] == 1.0) {
+    slot.stake = bytes;
+  } else {  // stake * factor may round to a neighbour of `bytes`: drop the memo
+    slot.stake = bytes / s.factor[cls];
+    slot.memo_epoch = 0;
+  }
 }
 
 double LlcModel::MissRatio(int socket, int vcpu, uint64_t wss_bytes) const {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
-  if (wss_bytes == 0) {
-    return params_.min_miss_ratio;
+  const SocketState& s = At(socket);
+  const size_t v = static_cast<size_t>(vcpu);  // a negative id wraps: absent
+  if (wss_bytes == 0 || v >= s.slots.size()) {
+    return wss_bytes == 0 ? params_.min_miss_ratio : 1.0;  // 1.0: nothing resident
   }
-  const SocketState& s = sockets_[static_cast<size_t>(socket)];
-  AQL_CHECK(vcpu >= 0);
-  if (static_cast<size_t>(vcpu) >= s.memo.size()) {
-    s.memo.resize(static_cast<size_t>(vcpu) + 1);
+  const Slot& slot = s.slots[v];
+  if (slot.memo_epoch == s.epoch && slot.memo_wss == wss_bytes) {
+    ++counters_.memo_hits;
+    return slot.memo_ratio;
   }
-  MissMemo& memo = s.memo[static_cast<size_t>(vcpu)];
-  if (memo.epoch == s.epoch && memo.wss == wss_bytes) {
-    return memo.ratio;
-  }
-  uint64_t occ = 0;
-  if (auto it = s.occupancy.find(vcpu); it != s.occupancy.end()) {
-    occ = it->second;
-  }
-  // References are spread uniformly over the working set; the resident part
-  // hits. Residency can never exceed the WSS, so the ratio is within [0, 1].
-  const double hit = static_cast<double>(std::min(occ, wss_bytes)) /
-                     static_cast<double>(wss_bytes);
-  memo.epoch = s.epoch;
-  memo.wss = wss_bytes;
-  memo.ratio = std::max(params_.min_miss_ratio, 1.0 - hit);
-  return memo.ratio;
-}
-
-void LlcModel::GrowTables(SocketState& s, int vcpu) {
-  AQL_CHECK(vcpu >= 0);
-  if (static_cast<size_t>(vcpu) >= s.running.size()) {
-    s.running.resize(static_cast<size_t>(vcpu) + 1, 0);
-    s.wss.resize(static_cast<size_t>(vcpu) + 1, 0);
-  }
+  ++counters_.memo_misses;  // references spread uniformly; the resident part hits
+  slot.memo_epoch = s.epoch;
+  slot.memo_wss = wss_bytes;
+  slot.memo_ratio = std::max(params_.min_miss_ratio,
+                             1.0 - OccupancyOf(s, slot) / static_cast<double>(wss_bytes));
+  return slot.memo_ratio;
 }
 
 void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t misses) {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
   if (misses == 0 || wss_bytes == 0) {
     return;
   }
-  SocketState& s = sockets_[static_cast<size_t>(socket)];
-  uint64_t& occ = s.occupancy[vcpu];
-  GrowTables(s, vcpu);
-  s.wss[static_cast<size_t>(vcpu)] = wss_bytes;
-
-  const uint64_t limit = std::min(wss_bytes, capacity_);
+  ++counters_.commits;
+  Slot& me = SlotOf(socket, vcpu);
+  SocketState& s = At(socket);
+  me.wss = wss_bytes;
+  const Class cls = ClassOf(me.running, wss_bytes);
+  const double occ = OccupancyOf(s, me);
+  const double limit = static_cast<double>(std::min(wss_bytes, capacity_));
   uint64_t fetched = misses * params_.cache_line_bytes;
   if (wss_bytes > capacity_) {
-    // Streaming fetches carry no reuse; adaptive insertion (DIP/RRIP) admits
-    // only a fraction of them at eviction-relevant priority.
+    // Streaming fetches carry no reuse; DIP/RRIP insertion admits a fraction.
     fetched = static_cast<uint64_t>(static_cast<double>(fetched) *
                                     params_.stream_insertion_fraction);
   }
-  const uint64_t grow = std::min(fetched, limit > occ ? limit - occ : 0);
-  occ += grow;
-  s.total += grow;
-  // Occupancy only changes when something grew (the socket total never
-  // exceeds capacity on entry, so eviction below implies grow > 0); advance
-  // the epoch exactly then, which is what lets warm steady-state steps keep
-  // hitting the MissRatio memo.
-  if (grow > 0) {
-    ++s.epoch;
+  const double grow =
+      std::min(static_cast<double>(fetched), limit > occ ? limit - occ : 0.0);
+  if (grow == 0.0 && cls == me.cls) {
+    return;  // warm: nothing changes, and MissRatio keeps hitting its memo
   }
+  // Growth or a class change. The fetcher stays out while the victims scale.
+  ++s.epoch;
+  double mine = Leave(s, me) + grow;
+  const double overflow =
+      s.bytes[kProtected] + s.bytes[kOther] + mine - static_cast<double>(capacity_);
+  if (overflow > 0.0) {
+    mine = std::max(0.0, mine - Evict(s, overflow));
+  }
+  Join(s, me, cls, mine);
+}
 
-  if (s.total <= capacity_) {
+double LlcModel::Evict(SocketState& s, double overflow) {
+  ++counters_.overflow_commits;
+  const double w = params_.running_eviction_weight;
+  const double protected_bytes = std::max(0.0, s.bytes[kProtected]);
+  const double other_bytes = std::max(0.0, s.bytes[kOther]);
+  const double weight_total = w * protected_bytes + other_bytes;
+  // The commit's one division: class k keeps 1 - overflow * w_k / W.
+  const double per_weight = weight_total > 0.0 ? overflow / weight_total : 1.0;
+  if (per_weight < 1.0) {
+    Rescale(s, kProtected, 1.0 - per_weight * w);
+    Rescale(s, kOther, 1.0 - per_weight);
+    return 0.0;
+  }
+  // The weight-1 class is capped (w <= 1, so it caps first): it is wiped, the
+  // protected class covers the residue, and the fetcher whatever is left.
+  const double left = overflow - other_bytes;
+  Rescale(s, kOther, 0.0);
+  if (protected_bytes > 0.0) {
+    Rescale(s, kProtected, std::max(0.0, 1.0 - left / protected_bytes));
+  }
+  return std::max(0.0, left - protected_bytes);
+}
+
+void LlcModel::Rescale(SocketState& s, Class cls, double keep) {
+  if (s.bytes[cls] <= 0.0) {
     return;
   }
-  // Socket overflow: evict from co-resident vCPUs proportionally to a
-  // recency-weighted occupancy. The fetching vCPU keeps what it just brought
-  // in; vCPUs currently on-CPU keep most of their footprint (LRU keeps hot
-  // lines resident), descheduled footprints decay at full weight.
-  //
-  // The victims (id != vcpu, bytes > 0) and their weights are captured in a
-  // single walk of the occupancy map; the eviction passes then run over the
-  // flat scratch array. Weights equal the old per-pass recomputation (values
-  // are untouched between the walk and each pass), and the scratch preserves
-  // the map's iteration order, so every share — including the residue drain
-  // below — is byte-identical to walking the map again.
-  const uint64_t overflow = s.total - capacity_;
-  auto& victims = s.evict_scratch;
-  victims.clear();
-  double weight_total = 0;
-  for (auto& [id, bytes] : s.occupancy) {
-    if (id == vcpu || bytes == 0) {
-      continue;
-    }
-    const bool running =
-        static_cast<size_t>(id) < s.running.size() && s.running[static_cast<size_t>(id)] != 0;
-    // Recency protection only applies to cache-friendly working sets: a
-    // streaming workload (WSS > capacity) touches each line once, so LRU
-    // offers its lines no protection even while it runs. (A zero WSS entry
-    // means "never recorded", i.e. not friendly.)
-    const uint64_t w =
-        static_cast<size_t>(id) < s.wss.size() ? s.wss[static_cast<size_t>(id)] : 0;
-    const bool friendly = w != 0 && w <= capacity_;
-    const double weight =
-        static_cast<double>(bytes) *
-        (running && friendly ? params_.running_eviction_weight : 1.0);
-    victims.emplace_back(&bytes, weight);
-    weight_total += weight;
-  }
-  uint64_t evicted_sum = 0;
-  if (weight_total > 0) {
-    for (const auto& [bytes, weight] : victims) {
-      uint64_t share = static_cast<uint64_t>(static_cast<double>(overflow) * weight /
-                                             weight_total);
-      share = std::min(share, *bytes);
-      *bytes -= share;
-      evicted_sum += share;
-    }
-  }
-  // Weight caps or rounding may leave a residue; drain remaining victims in
-  // the same (hash) order.
-  uint64_t residue = overflow > evicted_sum ? overflow - evicted_sum : 0;
-  if (residue > 0) {
-    for (const auto& [bytes, weight] : victims) {
-      (void)weight;
-      const uint64_t take = std::min(residue, *bytes);
-      *bytes -= take;
-      evicted_sum += take;
-      residue -= take;
-      if (residue == 0) {
-        break;
+  ++counters_.class_rescales;
+  s.bytes[cls] *= keep;
+  s.factor[cls] *= keep;
+  if (s.factor[cls] < kRenormalizeBelow) {  // fold the factor into the stakes
+    ++counters_.renormalizations;
+    s.bytes[cls] = 0.0;
+    for (Slot& slot : s.slots) {
+      if (slot.cls == cls) {
+        slot.stake *= s.factor[cls];
+        s.bytes[cls] += slot.stake;
       }
     }
-  }
-  s.total -= evicted_sum;
-  if (s.total > capacity_) {
-    // All co-residents were drained; trim the fetcher itself.
-    const uint64_t trim = s.total - capacity_;
-    AQL_CHECK(occ >= trim);
-    occ -= trim;
-    s.total -= trim;
+    s.factor[cls] = 1.0;
   }
 }
 
 void LlcModel::SetRunning(int socket, int vcpu, bool running) {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
-  SocketState& s = sockets_[static_cast<size_t>(socket)];
-  GrowTables(s, vcpu);
-  s.running[static_cast<size_t>(vcpu)] = running ? 1 : 0;
+  Slot& me = SlotOf(socket, vcpu);
+  me.running = running;
+  if (ClassOf(running, me.wss) != me.cls) {
+    Join(At(socket), me, ClassOf(running, me.wss), Leave(At(socket), me));
+  }
 }
 
 void LlcModel::Remove(int socket, int vcpu) {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
-  SocketState& s = sockets_[static_cast<size_t>(socket)];
-  GrowTables(s, vcpu);
-  s.running[static_cast<size_t>(vcpu)] = 0;
-  auto it = s.occupancy.find(vcpu);
-  if (it == s.occupancy.end()) {
-    return;
-  }
-  AQL_CHECK(s.total >= it->second);
-  s.total -= it->second;
-  s.occupancy.erase(it);
-  ++s.epoch;
+  SetRunning(socket, vcpu, false);
+  ++At(socket).epoch;
+  Leave(At(socket), SlotOf(socket, vcpu));
 }
 
 uint64_t LlcModel::Occupancy(int socket, int vcpu) const {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
-  const SocketState& s = sockets_[static_cast<size_t>(socket)];
-  auto it = s.occupancy.find(vcpu);
-  return it == s.occupancy.end() ? 0 : it->second;
+  const SocketState& s = At(socket);
+  const size_t v = static_cast<size_t>(vcpu);  // a negative id wraps: absent
+  return v < s.slots.size() ? static_cast<uint64_t>(OccupancyOf(s, s.slots[v])) : 0;
 }
 
 uint64_t LlcModel::TotalOccupancy(int socket) const {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
-  return sockets_[static_cast<size_t>(socket)].total;
+  const SocketState& s = At(socket);
+  uint64_t total = 0;  // sum of floors: never above the capacity
+  for (const Slot& slot : s.slots) {
+    total += static_cast<uint64_t>(OccupancyOf(s, slot));
+  }
+  return total;
 }
 
 MemBus::MemBus(int sockets, double bw_bytes_per_ns)

@@ -2,97 +2,116 @@
 //
 // The model is the mechanism behind every cache effect in the paper:
 //  * A vCPU's working set warms into the LLC by demand-fetching missed lines.
-//  * Co-running vCPUs on the same socket evict each other proportionally to
-//    their resident occupancy when the cache is full.
-//  * The probability that a reference hits is occupancy / WSS, so
-//      - LLCF  (WSS <= LLC): warm -> ~0 misses, but every eviction must be
-//        re-fetched, which is what punishes small scheduling quanta;
-//      - LLCO  (WSS >  LLC): hit ratio is capacity-bound regardless of
-//        scheduling, i.e. quantum-agnostic but a strong disturber;
-//      - LoLCF (WSS <= L2): makes almost no LLC references at all.
+//  * A reference hits with probability occupancy / WSS. So LLCF (WSS <= LLC)
+//    warms to ~0 misses but re-fetches every eviction, which punishes small
+//    quanta; LLCO (WSS > LLC) is capacity-bound, quantum-agnostic and a
+//    strong disturber; LoLCF (WSS <= L2) makes almost no LLC references.
+//  * A commit overflowing the socket by `ov` bytes evicts ov * w_i * b_i /
+//    sum_j(w_j * b_j) from each co-resident i (never the fetcher), where b_i
+//    is i's occupancy and w_i is HwParams::running_eviction_weight while i
+//    runs with WSS <= capacity (LRU keeps that working set hot), else 1. A
+//    share is capped at b_i; the residue comes from the remaining victim
+//    bytes in proportion, and only then from the fetcher.
 //
-// Occupancy is tracked per (socket, vcpu) in bytes; the per-socket total
-// never exceeds the LLC capacity.
+// All victims of one weight class lose the same fraction, so each socket
+// keeps two classes with a byte total and a lazy scale factor each: a vCPU's
+// occupancy is its stake times its class factor, and an overflowing commit
+// costs O(1). A vCPU is materialized only when it fetches, changes class or
+// is removed; an underflowing factor is folded into its class's stakes.
+//
+// Occupancy is real-valued. A class no eviction has touched keeps factor 1.0
+// and integer occupancies, so a socket that never overflows computes what
+// integer byte counts would. Occupancy() is the floor of the real value and
+// TotalOccupancy() the sum of those floors (<= capacity). vCPU ids order
+// nothing but the rare fold, which sums a class in id order.
 
 #ifndef AQLSCHED_SRC_HW_LLC_MODEL_H_
 #define AQLSCHED_SRC_HW_LLC_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/topology.h"
 
 namespace aql {
 
+// Exact work counters of one LlcModel: plain increments, no clock reads.
+struct LlcCounters {
+  uint64_t commits = 0;           // CommitAccesses calls that fetched lines
+  uint64_t overflow_commits = 0;  // ... and overflowed the socket
+  uint64_t class_rescales = 0;    // class scale-factor updates
+  uint64_t renormalizations = 0;  // factors folded into their class's stakes
+  uint64_t memo_hits = 0;         // MissRatio answers from the memo
+  uint64_t memo_misses = 0;       // MissRatio computations
+  LlcCounters& operator+=(const LlcCounters& o) {
+    commits += o.commits;
+    overflow_commits += o.overflow_commits;
+    class_rescales += o.class_rescales;
+    renormalizations += o.renormalizations;
+    memo_hits += o.memo_hits;
+    memo_misses += o.memo_misses;
+    return *this;
+  }
+};
+
 class LlcModel {
  public:
   LlcModel(int sockets, uint64_t capacity_bytes, const HwParams& params);
 
-  // Expected miss ratio if `vcpu` issues LLC references over a working set of
-  // `wss_bytes` on `socket`, given its current resident occupancy.
-  //
-  // Memoized per (socket, vcpu, occupancy epoch, wss): the socket's epoch
-  // advances only when some occupancy on it actually changes (a growing
-  // commit, an eviction, a removal), so the steady warm state — where
-  // CommitAccesses finds nothing to grow — answers repeated queries from the
-  // cache without recomputing. The memo is invisible to results by
-  // construction: a hit returns the exact value the miss path computed for
-  // the same inputs.
+  // Miss ratio of `vcpu`'s references over a `wss_bytes` working set on
+  // `socket`. Memoized per (socket, vcpu, occupancy epoch, wss).
   double MissRatio(int socket, int vcpu, uint64_t wss_bytes) const;
-
-  // Commits the outcome of a compute step: `misses` lines were fetched by
-  // `vcpu` on `socket`; grows its occupancy (bounded by min(wss, capacity))
-  // and evicts co-resident vCPUs proportionally if the socket overflows.
+  // `vcpu` fetched `misses` lines on `socket`: grows its occupancy (up to
+  // min(wss, capacity)) and evicts co-residents if the socket overflows.
   void CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t misses);
-
-  // Drops all of `vcpu`'s occupancy on `socket` (cross-socket migration or
-  // teardown).
+  // Drops `vcpu`'s occupancy on `socket` (cross-socket move or teardown).
   void Remove(int socket, int vcpu);
-
-  // Marks `vcpu` as currently running on `socket`. Running vCPUs' occupancy
-  // is recency-protected: it is evicted with a reduced weight
-  // (HwParams::running_eviction_weight), modelling LRU keeping the active
-  // working set hot while descheduled footprints decay.
+  // Marks `vcpu` as running on `socket` (recency protection, see above).
   void SetRunning(int socket, int vcpu, bool running);
 
   uint64_t Occupancy(int socket, int vcpu) const;
-  uint64_t TotalOccupancy(int socket) const;
-  uint64_t capacity() const { return capacity_; }
+  uint64_t TotalOccupancy(int socket) const;  // walks the socket's vCPUs
+  const LlcCounters& counters() const { return counters_; }
 
  private:
-  struct MissMemo {
-    uint64_t epoch = 0;  // 0 never matches a socket epoch (those start at 1)
-    uint64_t wss = 0;
-    double ratio = 0.0;
+  enum Class : uint8_t { kProtected = 0, kOther = 1 };
+  struct Slot {          // one per vCPU id
+    double stake = 0.0;  // occupancy = stake * factor[cls]
+    uint64_t wss = 0;    // last committed WSS (0 = never)
+    Class cls = kOther;
+    bool running = false;
+    mutable uint64_t memo_epoch = 0;  // MissRatio memo; socket epochs start at 1
+    mutable uint64_t memo_wss = 0;
+    mutable double memo_ratio = 0.0;
   };
   struct SocketState {
-    // The occupancy map stays the authority — eviction visits victims in its
-    // hash-iteration order, and that order is part of the deterministic
-    // byte-stable results (see CommitAccesses' residue drain). The running
-    // and WSS side-tables are never iterated, only point-read by vcpu id, so
-    // they live in flat vectors (0 = absent: a WSS is only ever recorded
-    // nonzero).
-    std::unordered_map<int, uint64_t> occupancy;  // vcpu -> resident bytes
-    std::vector<uint8_t> running;                 // vcpu -> on-CPU now
-    std::vector<uint64_t> wss;                    // vcpu -> last seen WSS
-    uint64_t total = 0;
-    // Bumped whenever any occupancy on the socket changes; validates memo.
+    std::vector<Slot> slots;        // indexed by vCPU id, grown on demand
+    double bytes[2] = {0.0, 0.0};   // per class: sum of the members' occupancies
+    double factor[2] = {1.0, 1.0};  // per class: lazy scale factor
     uint64_t epoch = 1;
-    // MissRatio memo, indexed by vcpu id (grown on demand). Mutable: a
-    // logically-const cache of a pure function of (occupancy, wss).
-    mutable std::vector<MissMemo> memo;
-    // Eviction scratch: one (resident-bytes slot, weight) pair per victim,
-    // captured in map order so the overflow passes run over a flat array
-    // instead of re-walking the hash map. Reused across calls.
-    std::vector<std::pair<uint64_t*, double>> evict_scratch;
   };
+  static constexpr double kRenormalizeBelow = 0x1p-20;  // see Rescale
 
-  void GrowTables(SocketState& s, int vcpu);
+  const SocketState& At(int s) const { return sockets_.at(static_cast<size_t>(s)); }
+  SocketState& At(int s) { return sockets_.at(static_cast<size_t>(s)); }
+  Slot& SlotOf(int socket, int vcpu);  // grows the socket's table
+  Class ClassOf(bool running, uint64_t wss) const {
+    return running && wss != 0 && wss <= capacity_ ? kProtected : kOther;
+  }
+  static double OccupancyOf(const SocketState& s, const Slot& slot) {
+    return slot.stake * s.factor[slot.cls];
+  }
+  // Leave takes `slot`'s occupancy out of its class; Join adds it to `cls`.
+  static double Leave(SocketState& s, Slot& slot);
+  static void Join(SocketState& s, Slot& slot, Class cls, double bytes);
+  double Evict(SocketState& s, double overflow);  // returns the residue left
+  void Rescale(SocketState& s, Class cls, double keep);
 
   uint64_t capacity_;
   HwParams params_;
   std::vector<SocketState> sockets_;
+  mutable LlcCounters counters_;
 };
 
 // Per-socket memory-bus (DRAM bandwidth) contention model.
@@ -105,12 +124,10 @@ class LlcModel {
 // each other. With mem_bw_bytes_per_ns == 0 the bus is unmodeled and the
 // factor is always 1.
 //
-// Demand lives in flat per-socket vectors indexed by pcpu id (no hash
-// traffic on the step hot path), and the running totals are maintained with
-// the exact same incremental `total += new - old` arithmetic as before, so
-// the accumulated floating-point values are bit-identical. StallFactor is
-// memoized per (socket, demand epoch, extra demand); the epoch advances only
-// when a SetDemand actually changes a slot.
+// Demand lives in flat per-socket vectors indexed by pcpu id, with running
+// totals kept by `total += new - old`. StallFactor is memoized per (socket,
+// demand epoch, extra demand); the epoch advances only when a SetDemand
+// actually changes a slot.
 class MemBus {
  public:
   MemBus(int sockets, double bw_bytes_per_ns);

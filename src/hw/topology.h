@@ -28,7 +28,8 @@ struct HwParams {
   uint64_t cache_line_bytes = 64;
   // Recency protection: eviction weight applied to the occupancy of vCPUs
   // currently running on the socket (their lines are hot under LRU, so
-  // trashers evict them far more slowly than descheduled footprints).
+  // trashers evict them far more slowly than descheduled footprints). In
+  // [0, 1].
   double running_eviction_weight = 0.15;
   // Thrash-resistant insertion (DIP/RRIP-style): the fraction of a
   // streaming workload's fetched lines (WSS > LLC) that are actually

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "src/hw/llc_model.h"
 #include "src/hw/topology.h"
 
@@ -194,6 +199,216 @@ TEST_P(LlcInvariantTest, TotalsConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LlcInvariantTest, ::testing::Range(1, 13));
+
+// A plain O(n), real-valued implementation of the proportional eviction rule
+// documented in llc_model.h: every victim loses overflow * w_i * b_i / W,
+// capped at b_i; what the caps leave is taken from the remaining victim
+// bytes in proportion, and the rest is trimmed from the fetcher.
+class ReferenceLlc {
+ public:
+  ReferenceLlc(int vcpus, uint64_t capacity, const HwParams& params)
+      : capacity_(static_cast<double>(capacity)),
+        params_(params),
+        occ_(static_cast<size_t>(vcpus), 0.0),
+        wss_(static_cast<size_t>(vcpus), 0),
+        running_(static_cast<size_t>(vcpus), false) {}
+
+  void SetRunning(int v, bool running) { running_[static_cast<size_t>(v)] = running; }
+  void Remove(int v) {
+    occ_[static_cast<size_t>(v)] = 0.0;
+    running_[static_cast<size_t>(v)] = false;
+  }
+  double Occupancy(int v) const { return occ_[static_cast<size_t>(v)]; }
+
+  void Commit(int v, uint64_t wss, uint64_t misses) {
+    if (misses == 0 || wss == 0) {
+      return;
+    }
+    const size_t f = static_cast<size_t>(v);
+    wss_[f] = wss;
+    const double limit = std::min(static_cast<double>(wss), capacity_);
+    uint64_t fetched = misses * params_.cache_line_bytes;
+    if (static_cast<double>(wss) > capacity_) {
+      fetched = static_cast<uint64_t>(static_cast<double>(fetched) *
+                                      params_.stream_insertion_fraction);
+    }
+    occ_[f] += std::min(static_cast<double>(fetched), std::max(0.0, limit - occ_[f]));
+    double overflow = -capacity_;
+    for (double b : occ_) {
+      overflow += b;
+    }
+    if (overflow <= 0.0) {
+      return;
+    }
+    double weight_total = 0.0;
+    for (size_t i = 0; i < occ_.size(); ++i) {
+      weight_total += i == f ? 0.0 : Weight(i) * occ_[i];
+    }
+    double left = overflow;
+    if (weight_total > 0.0) {
+      std::vector<double> share(occ_.size(), 0.0);
+      for (size_t i = 0; i < occ_.size(); ++i) {
+        if (i != f) {
+          share[i] = std::min(occ_[i], overflow * Weight(i) * occ_[i] / weight_total);
+        }
+      }
+      for (size_t i = 0; i < occ_.size(); ++i) {
+        occ_[i] -= share[i];
+        left -= share[i];
+      }
+    }
+    double remaining = 0.0;
+    for (size_t i = 0; i < occ_.size(); ++i) {
+      remaining += i == f ? 0.0 : occ_[i];
+    }
+    if (left > 0.0 && remaining > 0.0) {
+      const double take = std::min(left, remaining);
+      for (size_t i = 0; i < occ_.size(); ++i) {
+        if (i != f) {
+          occ_[i] -= occ_[i] * take / remaining;
+        }
+      }
+      left -= take;
+    }
+    if (left > 0.0) {
+      occ_[f] = std::max(0.0, occ_[f] - left);
+    }
+  }
+
+ private:
+  double Weight(size_t i) const {
+    const bool friendly = wss_[i] != 0 && static_cast<double>(wss_[i]) <= capacity_;
+    return running_[i] && friendly ? params_.running_eviction_weight : 1.0;
+  }
+
+  double capacity_;
+  HwParams params_;
+  std::vector<double> occ_;
+  std::vector<uint64_t> wss_;
+  std::vector<bool> running_;
+};
+
+TEST(LlcReferenceTest, MatchesPlainProportionalModel) {
+  constexpr int kVcpus = 8;
+  LlcModel llc(1, 8 * kMiB, HwParams{});
+  ReferenceLlc ref(kVcpus, 8 * kMiB, HwParams{});
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int step = 0; step < 60000; ++step) {
+    const int vcpu = static_cast<int>(next() % kVcpus);
+    const uint64_t op = next() % 16;
+    if (op == 0) {
+      llc.Remove(0, vcpu);
+      ref.Remove(vcpu);
+    } else if (op < 4) {
+      const bool running = next() % 2 == 0;
+      llc.SetRunning(0, vcpu, running);
+      ref.SetRunning(vcpu, running);
+    } else {
+      // WSS from 256 KiB to 24 MiB: LLCF, LLCO and streaming footprints.
+      const uint64_t wss = (1 + next() % 96) * (kMiB / 4);
+      const uint64_t misses = next() % 40000;
+      llc.CommitAccesses(0, vcpu, wss, misses);
+      ref.Commit(vcpu, wss, misses);
+    }
+    uint64_t sum = 0;
+    for (int v = 0; v < kVcpus; ++v) {
+      const uint64_t occ = llc.Occupancy(0, v);
+      // The model reports the floor of its real occupancy; the two real
+      // values agree to far below a byte.
+      const double diff = static_cast<double>(occ) - ref.Occupancy(v);
+      ASSERT_TRUE(diff <= 1e-6 && diff > -1.0 - 1e-6) << "step " << step << " vcpu " << v
+                                                      << " diff " << diff;
+      sum += occ;
+    }
+    ASSERT_EQ(sum, llc.TotalOccupancy(0));
+    ASSERT_LE(sum, 8 * kMiB);
+  }
+  EXPECT_GT(llc.counters().renormalizations, 0u);
+}
+
+// Results depend only on what each vCPU does, not on its id: permuting the
+// co-residents' ids leaves every role's occupancy bit-equal. The second id
+// set shares hash buckets, so a victim walk in hash-table order would hand
+// the rounding residue to a different role.
+TEST(LlcReferenceTest, EvictionIsIndependentOfVcpuIds) {
+  constexpr int kRoles = 5;
+  const int ids_a[kRoles] = {0, 1, 2, 3, 4};
+  const int ids_b[kRoles] = {13, 3, 26, 0, 39};
+  LlcModel a(1, 8 * kMiB, HwParams{});
+  LlcModel b(1, 8 * kMiB, HwParams{});
+  struct Op {
+    int role;
+    uint64_t wss;
+    uint64_t misses;
+    bool running;
+  };
+  const Op ops[] = {
+      {0, 3 * kMiB, 40000, true},  {1, 20 * kMiB, 90000, true}, {2, 2 * kMiB, 30000, false},
+      {3, 5 * kMiB, 70000, false}, {4, 1 * kMiB, 9000, true},   {0, 3 * kMiB, 7777, true},
+      {2, 2 * kMiB, 12345, true},  {1, 20 * kMiB, 33333, false}, {3, 5 * kMiB, 15000, true},
+      {4, 1 * kMiB, 4321, false},  {0, 3 * kMiB, 23456, false}, {2, 2 * kMiB, 999, true},
+  };
+  for (const Op& op : ops) {
+    for (auto [llc, ids] : {std::pair{&a, ids_a}, std::pair{&b, ids_b}}) {
+      llc->SetRunning(0, ids[op.role], op.running);
+      llc->CommitAccesses(0, ids[op.role], op.wss, op.misses);
+    }
+    for (int r = 0; r < kRoles; ++r) {
+      ASSERT_EQ(a.Occupancy(0, ids_a[r]), b.Occupancy(0, ids_b[r])) << "role " << r;
+    }
+  }
+  EXPECT_EQ(a.counters().renormalizations, 0u);
+  EXPECT_GT(a.counters().overflow_commits, 0u);
+}
+
+TEST(LlcCountersTest, CountsExactWork) {
+  LlcModel llc(1, 8 * kMiB, HwParams{});
+  EXPECT_DOUBLE_EQ(llc.MissRatio(0, 1, 4 * kMiB), 1.0);  // no slot yet: not counted
+  llc.SetRunning(0, 1, true);
+  llc.CommitAccesses(0, 1, 7 * kMiB, 7 * kMiB / 64);     // protected, 7 MiB
+  llc.CommitAccesses(0, 1, 7 * kMiB, 0);                 // no fetch: not counted
+  llc.MissRatio(0, 1, 7 * kMiB);                         // miss
+  llc.MissRatio(0, 1, 7 * kMiB);                         // hit
+  llc.CommitAccesses(0, 2, 1 * kMiB, 1 * kMiB / 64);     // fills the socket
+  llc.CommitAccesses(0, 1, 7 * kMiB, 100);               // warm: nothing grows
+  llc.MissRatio(0, 1, 7 * kMiB);                         // miss (epoch moved)
+  llc.MissRatio(0, 1, 7 * kMiB);                         // hit
+  // 1 MiB over: both classes rescale, nobody is capped.
+  llc.CommitAccesses(0, 3, 1 * kMiB, 1 * kMiB / 64);
+  LlcCounters c = llc.counters();
+  EXPECT_EQ(c.commits, 4u);
+  EXPECT_EQ(c.overflow_commits, 1u);
+  EXPECT_EQ(c.class_rescales, 2u);
+  EXPECT_EQ(c.renormalizations, 0u);
+  EXPECT_EQ(c.memo_hits, 2u);
+  EXPECT_EQ(c.memo_misses, 2u);
+  // 4 MiB over against ~2 MiB of weight: the unprotected class is wiped
+  // (a zero factor renormalizes) and the protected one covers the residue.
+  llc.CommitAccesses(0, 4, 4 * kMiB, 4 * kMiB / 64);
+  c = llc.counters();
+  EXPECT_EQ(c.commits, 5u);
+  EXPECT_EQ(c.overflow_commits, 2u);
+  EXPECT_EQ(c.class_rescales, 4u);
+  EXPECT_EQ(c.renormalizations, 1u);
+  EXPECT_EQ(llc.Occupancy(0, 2) + llc.Occupancy(0, 3), 0u);
+  EXPECT_EQ(llc.Occupancy(0, 4), 4 * kMiB);
+
+  // A socket whose declared working sets fit never overflows.
+  LlcModel fits(1, 8 * kMiB, HwParams{});
+  for (int step = 0; step < 1000; ++step) {
+    const int vcpu = step % 4;
+    fits.SetRunning(0, vcpu, step % 3 == 0);
+    fits.CommitAccesses(0, vcpu, 2 * kMiB, 997);
+  }
+  EXPECT_EQ(fits.counters().commits, 1000u);
+  EXPECT_EQ(fits.counters().overflow_commits, 0u);
+  EXPECT_EQ(fits.counters().class_rescales, 0u);
+  EXPECT_EQ(fits.TotalOccupancy(0), 8 * kMiB);
+}
 
 }  // namespace
 }  // namespace aql

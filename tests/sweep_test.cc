@@ -255,9 +255,9 @@ TEST(SweepEngineTest, Table3xQuickRunIsThreadCountInvariant) {
 
 TEST(SweepEngineTest, ProfileNeverEntersStableJson) {
   // --profile collects wall-clock phase breakdowns, which are inherently
-  // nondeterministic; they must ride with the timing fields only, so a
-  // profiled run's --stable-json output is byte-identical to an unprofiled
-  // one.
+  // nondeterministic, and the LLC work counters beside them; they must ride
+  // with the timing fields only, so a profiled run's --stable-json output is
+  // byte-identical to an unprofiled one.
   SweepOptions plain;
   plain.jobs = 1;
   SweepOptions profiled = plain;
@@ -274,10 +274,12 @@ TEST(SweepEngineTest, ProfileNeverEntersStableJson) {
       SweepJson(r_profiled, /*include_timing=*/false).Dump();
   EXPECT_EQ(stable_plain, stable_profiled);
   EXPECT_EQ(stable_profiled.find("\"profile\""), std::string::npos);
+  EXPECT_EQ(stable_profiled.find("llc_commits"), std::string::npos);
   // With timing enabled the breakdown is present.
   const std::string timed = SweepJson(r_profiled, /*include_timing=*/true).Dump();
   EXPECT_NE(timed.find("\"profile\""), std::string::npos);
   EXPECT_NE(timed.find("\"event_core_seconds\""), std::string::npos);
+  EXPECT_NE(timed.find("\"llc_commits\""), std::string::npos);
   EXPECT_NE(timed.find("\"render_seconds\""), std::string::npos);
 }
 
@@ -314,6 +316,10 @@ TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
   const std::string timed = SweepJson(r_profiled, /*include_timing=*/true).Dump();
   EXPECT_NE(timed.find("\"barrier_wait_seconds\""), std::string::npos);
   EXPECT_NE(timed.find("\"island_threads\""), std::string::npos);
+  // Fleet cells report the LLC work counters of their hosts.
+  for (const CellResult& cell : r_profiled.cells) {
+    EXPECT_GT(cell.result.profile.at("llc_commits"), 0.0) << cell.cell.id;
+  }
 }
 
 #ifdef AQL_GOLDEN_DIR
