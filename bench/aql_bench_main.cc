@@ -3,7 +3,6 @@
 //   aql_bench --list                     enumerate registered sweeps
 //   aql_bench --run <name> [--run ...]   run selected sweeps
 //   aql_bench --all                      run every registered sweep
-//   aql_bench merge [opts] <frag>...     merge shard fragments (see below)
 //
 // Options:
 //   --jobs N         worker threads for (scenario, policy) cells
@@ -25,8 +24,10 @@
 //                    timing data only, never part of --stable-json output
 //   --shard K/N      run only shard K of N (1-based): cells are partitioned
 //                    round-robin over their deterministic expansion order,
-//                    the render step is skipped, and the output is a
-//                    BENCH_<name>.shard<K>of<N>.json fragment for `merge`
+//                    the render step is skipped, and every computed cell is
+//                    stored in --cache-dir (required); no JSON is written.
+//                    An unsharded --cache-dir run over the union of the
+//                    shards' caches renders the sweep from hits alone
 //   --cell ID        run a single cell by id (render skipped); for CI perf
 //                    probes that time one full-mode cell without paying for
 //                    its siblings. Mutually exclusive with --shard. Runs
@@ -35,17 +36,6 @@
 //                    benchmark measures island parallelism alone.
 //   --cache-dir DIR  reuse cached cell results (content-addressed on the
 //                    cell's configuration; see docs/BENCH_FORMAT.md)
-//
-// The merge subcommand combines fragments — grouped by sweep, so fragments
-// of several sweeps can be passed in one invocation — into BENCH_<name>.json
-// files byte-identical to unsharded `--stable-json` runs. It errors on
-// overlapping, missing or mismatched fragments.
-//
-//   aql_bench merge [--out DIR] [--timing] <fragment.json>...
-//
-//   --timing         include wall-clock fields in the merged JSON (per-cell
-//                    compute times from the fragments; the total is their
-//                    sum, since fragments may come from different machines)
 //
 // The cache-gc subcommand bounds a long-lived cell cache: it evicts entry
 // files oldest-mtime-first until the cache fits the byte budget (and sweeps
@@ -58,13 +48,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/experiment/cell_cache.h"
-#include "src/experiment/merge.h"
 #include "src/experiment/registry.h"
 #include "src/metrics/table.h"
 
@@ -77,7 +65,6 @@ void Usage(FILE* out) {
                "[--jobs N] [--island-threads N] [--quick] [--out DIR] "
                "[--stable-json] [--no-json] "
                "[--profile] [--shard K/N] [--cell ID] [--cache-dir DIR]\n"
-               "       aql_bench merge [--out DIR] [--timing] <fragment.json>...\n"
                "       aql_bench cache-gc --cache-dir DIR --max-bytes N\n");
 }
 
@@ -95,81 +82,6 @@ int ListSweeps(const SweepOptions& options) {
   std::printf("%zu registered sweeps (cell counts for %s mode):\n%s",
               SweepRegistry::Instance().size(), options.quick ? "quick" : "full",
               table.ToString().c_str());
-  return 0;
-}
-
-// `aql_bench merge`: groups the given fragments by sweep and merges each
-// group into a BENCH_<name>.json equal to an unsharded run's output.
-int MergeMain(int argc, char** argv) {
-  std::string out_dir = ".";
-  bool timing = false;
-  std::vector<std::string> paths;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "aql_bench merge: --out needs a value\n");
-        return 2;
-      }
-      out_dir = argv[++i];
-    } else if (arg == "--timing") {
-      timing = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "aql_bench merge: unknown argument: %s\n", arg.c_str());
-      return 2;
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty()) {
-    std::fprintf(stderr, "aql_bench merge: no fragment files given\n");
-    Usage(stderr);
-    return 2;
-  }
-
-  // Group the parsed fragments by their recorded sweep name (deep
-  // validation happens inside MergeFragmentDocs); parse each file once.
-  struct Group {
-    std::vector<JsonValue> docs;
-    std::vector<std::string> paths;
-  };
-  std::map<std::string, Group> by_sweep;
-  for (const std::string& path : paths) {
-    JsonValue doc;
-    std::string error;
-    if (!LoadFragmentFile(path, &doc, &error)) {
-      std::fprintf(stderr, "aql_bench merge: %s\n", error.c_str());
-      return 1;
-    }
-    const JsonValue* bench = doc.Find("bench");
-    if (bench == nullptr || !bench->IsString()) {
-      std::fprintf(stderr, "aql_bench merge: %s: missing 'bench' field\n", path.c_str());
-      return 1;
-    }
-    Group& group = by_sweep[bench->AsString()];
-    group.docs.push_back(std::move(doc));
-    group.paths.push_back(path);
-  }
-
-  for (const auto& [sweep, group] : by_sweep) {
-    const MergeOutcome outcome = MergeFragmentDocs(group.docs, group.paths);
-    if (!outcome.ok) {
-      std::fprintf(stderr, "aql_bench merge: %s: %s\n", sweep.c_str(),
-                   outcome.error.c_str());
-      return 1;
-    }
-    std::printf("=== %s (merged from %zu fragments) ===\n", sweep.c_str(),
-                group.paths.size());
-    std::fputs(outcome.result.text.c_str(), stdout);
-    const std::string path =
-        WriteSweepJson(outcome.result, out_dir, /*include_timing=*/timing);
-    std::printf("[%s] %zu cells merged, wrote %s\n", sweep.c_str(),
-                outcome.result.cells.size(), path.c_str());
-    std::fflush(stdout);
-  }
   return 0;
 }
 
@@ -227,9 +139,6 @@ int CacheGcMain(int argc, char** argv) {
 }
 
 int Main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "merge") == 0) {
-    return MergeMain(argc, argv);
-  }
   if (argc > 1 && std::strcmp(argv[1], "cache-gc") == 0) {
     return CacheGcMain(argc, argv);
   }
@@ -306,6 +215,12 @@ int Main(int argc, char** argv) {
     }
   }
 
+  const bool sharded = options.shard_count > 0;
+  if (sharded && options.cache_dir.empty()) {
+    std::fprintf(stderr, "aql_bench: --shard stores its cells in the cell cache; "
+                         "give --cache-dir DIR\n");
+    return 2;
+  }
   if (list) {
     return ListSweeps(options);
   }
@@ -321,7 +236,6 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  const bool sharded = options.shard_count > 0;
   if (sharded && !options.only_cell.empty()) {
     std::fprintf(stderr, "aql_bench: --cell and --shard are mutually exclusive\n");
     return 2;
@@ -338,17 +252,12 @@ int Main(int argc, char** argv) {
     // wants to measure.
     options.jobs = 1;
   }
-  if (sharded && !write_json) {
-    std::fprintf(stderr, "aql_bench: --shard produces fragment JSON; "
-                         "--no-json makes a sharded run pointless\n");
-    return 2;
-  }
   if (sharded && options.profile) {
-    // Fragments (and the cell cache they share a record format with) carry
-    // no profile data, so the breakdown would be collected and then
-    // silently dropped. Refuse instead of wasting the instrumented run.
-    std::fprintf(stderr, "aql_bench: --profile output cannot ride in shard "
-                         "fragments; profile unsharded runs\n");
+    // Cache entries carry no profile data, so the breakdown would be
+    // collected and then silently dropped. Refuse instead of wasting the
+    // instrumented run.
+    std::fprintf(stderr, "aql_bench: --profile output cannot ride in the cell "
+                         "cache; profile unsharded runs\n");
     return 2;
   }
 
@@ -382,25 +291,21 @@ int Main(int argc, char** argv) {
     if (result.failed_cells > 0) {
       // A failed cell is recorded (structured `error` entry in the JSON) and
       // the remaining cells and sweeps still run; the non-zero exit below
-      // keeps CI from mistaking a partial document for a clean one.
-      std::fprintf(stderr, "[%s] %zu cell(s) FAILED (see per-cell error entries)\n",
-                   name.c_str(), result.failed_cells);
+      // keeps CI from mistaking a partial document for a clean one. A shard
+      // writes no JSON, so the first error is named here as well.
+      const auto first = std::find_if(result.cells.begin(), result.cells.end(),
+                                      [](const CellResult& c) { return !c.error.empty(); });
+      std::fprintf(stderr, "[%s] %zu cell(s) FAILED (first: %s: %s)\n", name.c_str(),
+                   result.failed_cells, first->cell.id.c_str(), first->error.c_str());
       failed_cells += result.failed_cells;
     }
 
-    if (write_json) {
-      if (sharded) {
-        // Fragments are inherently stable: per-cell wall times ride inside
-        // the records, everything else is deterministic.
-        const std::string path = WriteFragmentJson(result, out_dir);
-        std::printf("[%s] wrote %s\n", name.c_str(), path.c_str());
-      } else {
-        // --stable-json writes the deterministic projection (no wall-clock
-        // fields), byte-comparable across runs and thread counts.
-        const std::string path =
-            WriteSweepJson(result, out_dir, /*include_timing=*/!stable_json);
-        std::printf("[%s] wrote %s\n", name.c_str(), path.c_str());
-      }
+    if (write_json && !sharded) {
+      // --stable-json writes the deterministic projection (no wall-clock
+      // fields), byte-comparable across runs and thread counts.
+      const std::string path =
+          WriteSweepJson(result, out_dir, /*include_timing=*/!stable_json);
+      std::printf("[%s] wrote %s\n", name.c_str(), path.c_str());
     }
     std::printf("\n");
     std::fflush(stdout);

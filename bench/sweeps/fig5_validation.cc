@@ -22,7 +22,7 @@ std::vector<uint64_t> Seeds(const SweepOptions& opts) {
   return opts.quick ? std::vector<uint64_t>{11} : std::vector<uint64_t>{11, 23};
 }
 
-// Id scheme: val/<app>/q<ms>/s<seed>. Ids are shard/merge/cache keys; keep
+// Id scheme: val/<app>/q<ms>/s<seed>. Ids are render/diff keys; keep
 // them stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules"). Note the
 // quick-mode expansion drops the second seed, so quick and full runs are
 // distinct cell sets (never merged together).

@@ -17,7 +17,7 @@
 // construction.
 //
 // Id scheme: rec/<kind> + base/<kind>. Ids and the relative trace paths are
-// shard/merge/cache keys; keep them stable (docs/BENCH_FORMAT.md).
+// render/diff keys; keep them stable (docs/BENCH_FORMAT.md).
 
 #include <filesystem>
 #include <fstream>
@@ -81,7 +81,7 @@ std::string TraceText(const TraceKind& k) {
 }
 
 // Writes the trace if absent or stale (idempotent: re-expansion by the
-// merge/cache layers and repeated shard runs see identical bytes).
+// cache layer and repeated shard runs see identical bytes).
 void EnsureTraceFile(const TraceKind& k) {
   const std::string path = TracePath(k);
   const std::string text = TraceText(k);

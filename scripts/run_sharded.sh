@@ -1,24 +1,26 @@
 #!/usr/bin/env bash
-# Dispatch a sharded aql_bench run, collect the fragments, and merge them
-# back into canonical BENCH_<name>.json files (PR-3's shard/merge pipeline,
-# driven end to end).
+# Dispatch a sharded aql_bench run into a shared cell cache, then render
+# canonical BENCH_<name>.json files from that cache with an ordinary
+# unsharded run (every cell a cache hit).
 #
 #   scripts/run_sharded.sh [options] [-- extra aql_bench args...]
 #
 # Options:
 #   -b BIN       aql_bench binary (default: ./build/aql_bench)
 #   -n N         shard count (default: 4)
-#   -o DIR       output directory (default: ./sharded-out)
+#   -o DIR       output directory (default: ./sharded-out); the shards'
+#                cell cache is DIR/cells, the rendered files DIR/merged
 #   -s SWEEPS    comma-separated sweep names (default: every sweep, --all)
 #   -H FILE      optional ssh host list, one host per line: shard k runs on
 #                host ((k-1) % #hosts) via ssh. Hosts must see BIN at the
-#                same path (shared checkout or identical deploy); fragments
-#                are copied back with scp. Without -H every shard runs as a
-#                local background process.
+#                same path (shared checkout or identical deploy); each
+#                host's cache entries are copied back into DIR/cells with
+#                scp. Without -H every shard runs as a local background
+#                process writing DIR/cells directly.
 #   -q           quick mode (CI-smoke simulated durations)
 #   -t           self-test: after merging, run the same sweeps unsharded
-#                with --stable-json and cmp every merged BENCH_*.json
-#                byte-for-byte against the unsharded output
+#                and uncached with --stable-json and cmp every merged
+#                BENCH_*.json byte-for-byte against that output
 #
 # Examples:
 #   scripts/run_sharded.sh -q -t                 # local 4-way self-test
@@ -75,24 +77,23 @@ if [ -n "$HOSTFILE" ]; then
 fi
 
 mkdir -p "$OUT"
-rm -rf "$OUT"/frags-* "$OUT"/merged
+rm -rf "$OUT"/cells "$OUT"/merged
+mkdir -p "$OUT/cells/cells"
 
 # --- dispatch ---------------------------------------------------------------
 pids=()
 for ((k = 1; k <= SHARDS; ++k)); do
-  frag_dir="$OUT/frags-$k"
-  mkdir -p "$frag_dir"
   if [ ${#HOSTS[@]} -gt 0 ]; then
     host=${HOSTS[$(((k - 1) % ${#HOSTS[@]}))]}
     remote_dir="/tmp/aql-shard-$$-$k"
     (
       ssh "$host" "mkdir -p $remote_dir && $BIN ${SELECT[*]} $QUICK \
-        --shard $k/$SHARDS --out $remote_dir ${EXTRA[*]:-}" &&
-      scp -q "$host:$remote_dir/BENCH_*.json" "$frag_dir/" &&
+        --shard $k/$SHARDS --cache-dir $remote_dir ${EXTRA[*]:-}" &&
+      scp -q -r "$host:$remote_dir/cells" "$OUT/cells/" &&
       ssh "$host" "rm -rf $remote_dir"
     ) > "$OUT/shard-$k.log" 2>&1 &
   else
-    "$BIN" "${SELECT[@]}" $QUICK --shard "$k/$SHARDS" --out "$frag_dir" \
+    "$BIN" "${SELECT[@]}" $QUICK --shard "$k/$SHARDS" --cache-dir "$OUT/cells" \
       ${EXTRA[@]+"${EXTRA[@]}"} > "$OUT/shard-$k.log" 2>&1 &
   fi
   pids+=($!)
@@ -109,8 +110,10 @@ done
 [ "$fail" -eq 0 ] || exit 1
 
 # --- merge ------------------------------------------------------------------
+# An ordinary unsharded run over the shards' cache: every cell is a hit.
 mkdir -p "$OUT/merged"
-"$BIN" merge --out "$OUT/merged" "$OUT"/frags-*/BENCH_*.json > "$OUT/merge.log" 2>&1 || {
+"$BIN" "${SELECT[@]}" $QUICK --cache-dir "$OUT/cells" --stable-json \
+  --out "$OUT/merged" ${EXTRA[@]+"${EXTRA[@]}"} > "$OUT/merge.log" 2>&1 || {
   echo "run_sharded.sh: merge failed — $OUT/merge.log:" >&2
   tail -10 "$OUT/merge.log" >&2
   exit 1

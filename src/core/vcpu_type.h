@@ -55,8 +55,8 @@ inline const char* VcpuTypeName(VcpuType t) {
   return "?";
 }
 
-// Inverse of VcpuTypeName, for re-ingesting serialized results (shard
-// fragments, cell-cache entries). Returns false on an unknown name.
+// Inverse of VcpuTypeName, for re-ingesting serialized results (cell-cache
+// entries). Returns false on an unknown name.
 inline bool VcpuTypeFromName(const std::string& name, VcpuType* out) {
   for (VcpuType t : kAllVcpuTypes) {
     if (name == VcpuTypeName(t)) {

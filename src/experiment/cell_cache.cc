@@ -4,15 +4,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "src/experiment/merge.h"
 
 namespace aql {
 
@@ -57,7 +58,339 @@ bool UintEquals(const JsonValue* v, uint64_t want) {
   return false;
 }
 
+JsonValue MetricsJson(const std::map<std::string, double>& metrics) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [k, v] : metrics) {
+    out.Set(k, v);
+  }
+  return out;
+}
+
+bool MetricsFromJson(const JsonValue& doc, std::map<std::string, double>* out,
+                     std::string* error) {
+  if (!doc.IsObject()) {
+    *error = "metrics must be an object";
+    return false;
+  }
+  for (const auto& [k, v] : doc.Members()) {
+    if (!v.IsNumber()) {
+      *error = "metric '" + k + "' is not a number";
+      return false;
+    }
+    (*out)[k] = v.AsDouble();
+  }
+  return true;
+}
+
+// Fetches a required member, with a readable error on absence.
+const JsonValue* Req(const JsonValue& doc, const std::string& key, std::string* error) {
+  if (!doc.IsObject()) {
+    *error = "expected an object around '" + key + "'";
+    return nullptr;
+  }
+  const JsonValue* v = doc.Find(key);
+  if (v == nullptr) {
+    *error = "missing field '" + key + "'";
+  }
+  return v;
+}
+
+// Typed required-field readers. Cache entries are external input, so a
+// type mismatch must surface as a readable error, never as an accessor
+// CHECK-abort.
+bool ReadString(const JsonValue& doc, const std::string& key, std::string* out,
+                std::string* error) {
+  const JsonValue* v = Req(doc, key, error);
+  if (v == nullptr) {
+    return false;
+  }
+  if (!v->IsString()) {
+    *error = "'" + key + "' must be a string";
+    return false;
+  }
+  *out = v->AsString();
+  return true;
+}
+
+bool ReadDouble(const JsonValue& doc, const std::string& key, double* out,
+                std::string* error) {
+  const JsonValue* v = Req(doc, key, error);
+  if (v == nullptr) {
+    return false;
+  }
+  if (!v->IsNumber()) {
+    *error = "'" + key + "' must be a number";
+    return false;
+  }
+  *out = v->AsDouble();
+  return true;
+}
+
+bool IntValue(const JsonValue& v, int64_t* out) {
+  if (v.type() == JsonValue::Type::kInt) {
+    *out = v.AsInt();
+    return true;
+  }
+  if (v.type() == JsonValue::Type::kUint &&
+      v.AsUint() <= static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    *out = static_cast<int64_t>(v.AsUint());
+    return true;
+  }
+  return false;
+}
+
+bool ReadI64(const JsonValue& doc, const std::string& key, int64_t* out,
+             std::string* error) {
+  const JsonValue* v = Req(doc, key, error);
+  if (v == nullptr) {
+    return false;
+  }
+  if (!IntValue(*v, out)) {
+    *error = "'" + key + "' must be an integer";
+    return false;
+  }
+  return true;
+}
+
+bool ReadU64(const JsonValue& doc, const std::string& key, uint64_t* out,
+             std::string* error) {
+  const JsonValue* v = Req(doc, key, error);
+  if (v == nullptr) {
+    return false;
+  }
+  if (v->type() == JsonValue::Type::kUint) {
+    *out = v->AsUint();
+    return true;
+  }
+  if (v->type() == JsonValue::Type::kInt && v->AsInt() >= 0) {
+    *out = static_cast<uint64_t>(v->AsInt());
+    return true;
+  }
+  *error = "'" + key + "' must be a non-negative integer";
+  return false;
+}
+
 }  // namespace
+
+JsonValue CellRecordJson(const CellResult& cell) {
+  const ScenarioResult& r = cell.result;
+
+  JsonValue reports = JsonValue::Array();
+  for (const PerfReport& report : r.reports) {
+    JsonValue rj = JsonValue::Object();
+    rj.Set("workload", report.workload_name).Set("metrics", MetricsJson(report.metrics));
+    reports.Push(std::move(rj));
+  }
+
+  JsonValue groups = JsonValue::Array();
+  for (const GroupPerf& g : r.groups) {
+    JsonValue gj = JsonValue::Object();
+    gj.Set("name", g.name)
+        .Set("vcpus", g.vcpus)
+        .Set("primary", g.primary)
+        .Set("metrics", MetricsJson(g.metrics));
+    groups.Push(std::move(gj));
+  }
+
+  JsonValue result = JsonValue::Object();
+  result.Set("scenario", r.scenario)
+      .Set("policy", r.policy)
+      .Set("measure_window_ns", r.measure_window)
+      .Set("cpu_utilization", r.cpu_utilization)
+      .Set("controller_overhead_ns", r.controller_overhead)
+      .Set("events_processed", r.events_processed)
+      .Set("plan_applications", r.plan_applications)
+      .Set("wall_seconds", r.wall_seconds)
+      .Set("reports", std::move(reports))
+      .Set("groups", std::move(groups));
+
+  if (!r.detected_types.empty()) {
+    JsonValue types = JsonValue::Object();
+    for (const auto& [vcpu, type] : r.detected_types) {
+      types.Set(std::to_string(vcpu), VcpuTypeName(type));
+    }
+    result.Set("detected_types", std::move(types));
+  }
+
+  if (!r.pools.empty()) {
+    JsonValue pools = JsonValue::Array();
+    for (const ScenarioResult::PoolInfo& p : r.pools) {
+      JsonValue ids = JsonValue::Array();
+      for (int pcpu : p.pcpus) {
+        ids.Push(pcpu);
+      }
+      JsonValue vids = JsonValue::Array();
+      for (int vcpu : p.vcpus) {
+        vids.Push(vcpu);
+      }
+      JsonValue pj = JsonValue::Object();
+      pj.Set("label", p.label)
+          .Set("quantum_ns", p.quantum)
+          .Set("pcpus", std::move(ids))
+          .Set("vcpus", std::move(vids));
+      pools.Push(std::move(pj));
+    }
+    result.Set("pools", std::move(pools));
+  }
+
+  JsonValue rec = JsonValue::Object();
+  rec.Set("id", cell.cell.id).Set("result", std::move(result));
+
+  if (!cell.cursor_trace.empty()) {
+    JsonValue trace = JsonValue::Array();
+    for (const CursorSet& c : cell.cursor_trace) {
+      JsonValue sample = JsonValue::Array();
+      sample.Push(c.io).Push(c.conspin).Push(c.lolcf).Push(c.llcf).Push(c.llco);
+      sample.Push(c.membw).Push(c.remote).Push(c.bursty);
+      trace.Push(std::move(sample));
+    }
+    rec.Set("cursor_trace", std::move(trace));
+  }
+  return rec;
+}
+
+bool CellRecordFromJson(const JsonValue& record, CellResult* out, std::string* error) {
+  const JsonValue* id = Req(record, "id", error);
+  const JsonValue* res = Req(record, "result", error);
+  if (id == nullptr || res == nullptr) {
+    return false;
+  }
+  if (!id->IsString()) {
+    *error = "cell id must be a string";
+    return false;
+  }
+  out->cell.id = id->AsString();
+  ScenarioResult& r = out->result;
+
+  int64_t i64 = 0;
+  if (!ReadString(*res, "scenario", &r.scenario, error) ||
+      !ReadString(*res, "policy", &r.policy, error) ||
+      !ReadI64(*res, "measure_window_ns", &r.measure_window, error) ||
+      !ReadDouble(*res, "cpu_utilization", &r.cpu_utilization, error) ||
+      !ReadI64(*res, "controller_overhead_ns", &r.controller_overhead, error) ||
+      !ReadU64(*res, "events_processed", &r.events_processed, error) ||
+      !ReadU64(*res, "plan_applications", &r.plan_applications, error) ||
+      !ReadDouble(*res, "wall_seconds", &r.wall_seconds, error)) {
+    return false;
+  }
+
+  const JsonValue* v = nullptr;
+  if ((v = Req(*res, "reports", error)) == nullptr) return false;
+  if (!v->IsArray()) {
+    *error = "'reports' must be an array";
+    return false;
+  }
+  for (const JsonValue& rj : v->Items()) {
+    PerfReport report;
+    if (!ReadString(rj, "workload", &report.workload_name, error)) return false;
+    const JsonValue* metrics = Req(rj, "metrics", error);
+    if (metrics == nullptr || !MetricsFromJson(*metrics, &report.metrics, error)) {
+      return false;
+    }
+    r.reports.push_back(std::move(report));
+  }
+
+  if ((v = Req(*res, "groups", error)) == nullptr) return false;
+  if (!v->IsArray()) {
+    *error = "'groups' must be an array";
+    return false;
+  }
+  for (const JsonValue& gj : v->Items()) {
+    GroupPerf g;
+    if (!ReadString(gj, "name", &g.name, error) ||
+        !ReadI64(gj, "vcpus", &i64, error) ||
+        !ReadDouble(gj, "primary", &g.primary, error)) {
+      return false;
+    }
+    g.vcpus = static_cast<int>(i64);
+    const JsonValue* metrics = Req(gj, "metrics", error);
+    if (metrics == nullptr || !MetricsFromJson(*metrics, &g.metrics, error)) {
+      return false;
+    }
+    r.groups.push_back(std::move(g));
+  }
+
+  if (const JsonValue* types = res->Find("detected_types")) {
+    if (!types->IsObject()) {
+      *error = "'detected_types' must be an object";
+      return false;
+    }
+    for (const auto& [key, value] : types->Members()) {
+      VcpuType type;
+      char* end = nullptr;
+      const long vcpu = std::strtol(key.c_str(), &end, 10);
+      if (key.empty() || *end != '\0' || !value.IsString() ||
+          !VcpuTypeFromName(value.AsString(), &type)) {
+        *error = "bad detected-type entry for vCPU '" + key + "'";
+        return false;
+      }
+      r.detected_types[static_cast<int>(vcpu)] = type;
+    }
+  }
+
+  if (const JsonValue* pools = res->Find("pools")) {
+    if (!pools->IsArray()) {
+      *error = "'pools' must be an array";
+      return false;
+    }
+    for (const JsonValue& pj : pools->Items()) {
+      ScenarioResult::PoolInfo pool;
+      if (!ReadString(pj, "label", &pool.label, error) ||
+          !ReadI64(pj, "quantum_ns", &pool.quantum, error)) {
+        return false;
+      }
+      for (const char* key : {"pcpus", "vcpus"}) {
+        const JsonValue* ids = Req(pj, key, error);
+        if (ids == nullptr) {
+          return false;
+        }
+        if (!ids->IsArray()) {
+          *error = std::string("pool '") + key + "' must be an array";
+          return false;
+        }
+        for (const JsonValue& p : ids->Items()) {
+          if (!IntValue(p, &i64)) {
+            *error = std::string("pool '") + key + "' entries must be integers";
+            return false;
+          }
+          (key[0] == 'p' ? pool.pcpus : pool.vcpus).push_back(static_cast<int>(i64));
+        }
+      }
+      r.pools.push_back(std::move(pool));
+    }
+  }
+
+  if (const JsonValue* trace = record.Find("cursor_trace")) {
+    if (!trace->IsArray()) {
+      *error = "'cursor_trace' must be an array";
+      return false;
+    }
+    for (const JsonValue& sample : trace->Items()) {
+      if (!sample.IsArray() || sample.size() != 8) {
+        *error = "cursor_trace samples must be 8-element arrays";
+        return false;
+      }
+      const std::vector<JsonValue>& s = sample.Items();
+      for (const JsonValue& x : s) {
+        if (!x.IsNumber()) {
+          *error = "cursor_trace samples must contain numbers";
+          return false;
+        }
+      }
+      CursorSet c;
+      c.io = s[0].AsDouble();
+      c.conspin = s[1].AsDouble();
+      c.lolcf = s[2].AsDouble();
+      c.llcf = s[3].AsDouble();
+      c.llco = s[4].AsDouble();
+      c.membw = s[5].AsDouble();
+      c.remote = s[6].AsDouble();
+      c.bursty = s[7].AsDouble();
+      out->cursor_trace.push_back(c);
+    }
+  }
+  return true;
+}
 
 // Serializes every policy knob that can vary between cells sharing a label
 // (PolicySpec::Label() is e.g. "AQL_Sched" for all AQL variants, and the
@@ -145,8 +478,7 @@ uint64_t CellConfigFingerprint(const SweepCell& cell) {
 }
 
 CellCache::CellCache(std::string dir, uint64_t config_hash)
-    : dir_(std::move(dir)),
-      config_hash_(config_hash != 0 ? config_hash : DefaultConfigHash()) {}
+    : dir_(std::move(dir)), config_hash_(config_hash) {}
 
 uint64_t CellCache::DefaultConfigHash() { return Fnv1a(kCellCacheEngineVersion); }
 
@@ -208,12 +540,12 @@ bool CellCache::Load(const CellCacheKey& key, CellResult* out) {
   return true;
 }
 
-void CellCache::Store(const CellCacheKey& key, const CellResult& cell) {
+bool CellCache::Store(const CellCacheKey& key, const CellResult& cell) {
   const std::string path = PathFor(key);
   std::error_code ec;
   std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
   if (ec) {
-    return;
+    return false;
   }
 
   JsonValue doc = JsonValue::Object();
@@ -235,19 +567,21 @@ void CellCache::Store(const CellCacheKey& key, const CellResult& cell) {
   {
     std::ofstream f(tmp);
     if (!f.good()) {
-      return;
+      return false;
     }
     f << doc.Dump();
     f.close();
     if (!f.good()) {
       std::filesystem::remove(tmp, ec);
-      return;
+      return false;
     }
   }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
+    return false;
   }
+  return true;
 }
 
 CellCache::GcStats CellCache::Gc(const std::string& dir, uint64_t max_bytes) {

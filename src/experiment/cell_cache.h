@@ -2,16 +2,17 @@
 //
 // Cells are pure functions of (scenario, policy, derived seed), so a sweep
 // never needs to recompute a cell whose configuration it has run before —
-// across repeats of a run, across shard/merge pipelines, across commits
-// while the engine is unchanged, and across *sweeps*: two sweeps that build
-// the identical cell (same expanded scenario, machine configuration, policy
-// and seed) share one entry. Entries live one-per-file under
-// `<dir>/cells/`, addressed by a 64-bit FNV-1a hash of the key tuple
+// across repeats of a run, across the shards of a sharded run, across
+// commits while the engine is unchanged, and across *sweeps*: two sweeps
+// that build the identical cell (same expanded scenario, machine
+// configuration, policy and seed) share one entry. Entries live
+// one-per-file under `<dir>/cells/`, addressed by a 64-bit FNV-1a hash of
+// the key tuple
 //
 //   (derived-seed, quick, config-hash, cell-config-fp)
 //
-// and store the complete serialized result (the fragment cell-record format
-// of src/experiment/merge.h), so a hit is bit-identical to recomputation.
+// and store the complete serialized result (the cell record below), so a
+// hit is bit-identical to recomputation.
 // The cell-config fingerprint (CellConfigFingerprint) is a *full* scenario
 // fingerprint: the expanded scenario description (ScenarioJson, including
 // the fleet block), the complete machine configuration (topology, HwParams,
@@ -24,12 +25,17 @@
 // cell parameters still invalidates its entries even when the id stays,
 // because the parameters are the key.
 //
-// Invalidation: the key's config-hash defaults to a fingerprint of the
-// engine version below — bump kCellCacheEngineVersion whenever simulation
-// behavior changes, or override SweepOptions::config_hash (e.g. in tests,
-// or to segregate caches across experimental builds). Stale or corrupt
-// entries are treated as misses, never as errors: every Load verifies the
-// stored key fields before trusting the record.
+// Invalidation: the key's config-hash is a fingerprint of the engine
+// version below — bump kCellCacheEngineVersion whenever simulation
+// behavior changes. Stale or corrupt entries are treated as misses, never
+// as errors: every Load verifies the stored key fields before trusting the
+// record.
+//
+// Sharded runs (`--shard K/N`) store every cell they compute here and
+// write nothing else; an unsharded run over the union of the shards' cache
+// directories then renders from hits alone (cache_misses == 0 in its timed
+// JSON). That is why Store reports failure: for a shard, an unstored cell
+// is a lost result.
 //
 // Concurrency: distinct cells map to distinct files, and a store writes to
 // a temp file then renames, so parallel workers — and parallel shard
@@ -42,6 +48,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/experiment/json_out.h"
 #include "src/experiment/sweep.h"
 
 namespace aql {
@@ -74,10 +81,21 @@ struct CellCacheKey {
 // changing a cell's parameters while keeping its id.
 uint64_t CellConfigFingerprint(const SweepCell& cell);
 
+// Serializes one executed cell: id + complete ScenarioResult + cursor
+// trace, the `record` of a cache entry. The scenario/policy configuration
+// is deliberately absent — the entry key fingerprints it, and the caller
+// re-stamps its own cell on a hit. JsonValue's round-trip number
+// formatting makes a decoded record bit-identical to the computed one.
+JsonValue CellRecordJson(const CellResult& cell);
+
+// Inverse of CellRecordJson. Fills result + cursor_trace + cell.id only.
+// Returns false with a message on malformed records.
+bool CellRecordFromJson(const JsonValue& record, CellResult* out, std::string* error);
+
 class CellCache {
  public:
-  // `config_hash` of 0 selects DefaultConfigHash().
-  CellCache(std::string dir, uint64_t config_hash);
+  // Tests pass a different `config_hash` to model an engine-version bump.
+  explicit CellCache(std::string dir, uint64_t config_hash = DefaultConfigHash());
 
   // FNV-1a of kCellCacheEngineVersion.
   static uint64_t DefaultConfigHash();
@@ -92,9 +110,11 @@ class CellCache {
   // key-mismatched entries count as misses.
   bool Load(const CellCacheKey& key, CellResult* out);
 
-  // Persists a computed cell. Failures to write are silently ignored (the
-  // cache is an accelerator, not a store of record).
-  void Store(const CellCacheKey& key, const CellResult& cell);
+  // Persists a computed cell; returns false when the entry could not be
+  // written. Unsharded runs ignore that (the cache is an accelerator
+  // there); sharded runs fail the cell, since the cache is their only
+  // output.
+  bool Store(const CellCacheKey& key, const CellResult& cell);
 
   uint64_t config_hash() const { return config_hash_; }
   uint64_t hits() const { return hits_.load(); }

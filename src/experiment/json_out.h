@@ -1,5 +1,5 @@
 // Minimal ordered JSON emission and parsing for sweep results
-// (BENCH_<name>.json, shard fragments, cell-cache entries).
+// (BENCH_<name>.json, cell-cache entries).
 //
 // JsonValue started as a write-only document builder: objects keep insertion
 // order so output is stable, and numbers are printed with round-trip
@@ -8,8 +8,8 @@
 // --jobs 1` and `--jobs N` output comparable byte-for-byte (wall-clock
 // timing is segregated behind `include_timing`).
 //
-// The read side (Parse + accessors) exists for the shard/merge and
-// cell-cache pipelines, which re-ingest previously emitted documents.
+// The read side (Parse + accessors) exists for the cell cache, which
+// re-ingests previously emitted documents.
 // Numbers round-trip bit-exactly: integers without '.'/'e' parse into the
 // int/uint arms, everything else goes through strtod against the same
 // shortest-round-trip text JsonNumber produced.

@@ -126,7 +126,8 @@ CellResult RunCell(const SweepCell& cell, const SweepOptions& sweep_options) {
 // simulation bit-for-bit (the entry stores the full serialized result).
 // Entries are keyed by configuration, not by (sweep, cell-id), so a hit may
 // come from another sweep's identical cell; re-stamping `out.cell` keeps
-// this run's own labels on the result.
+// this run's own labels on the result. A shard's only output is the cache,
+// so a sharded run fails the cell when its result could not be stored.
 CellResult RunOrLoadCell(const SweepCell& cell, const SweepOptions& options,
                          CellCache* cache) {
   if (cache == nullptr) {
@@ -142,7 +143,16 @@ CellResult RunOrLoadCell(const SweepCell& cell, const SweepOptions& options,
     return out;
   }
   out = RunCell(cell, options);
-  cache->Store(key, out);
+  if (!cache->Store(key, out) && options.shard_count > 0) {
+    throw std::runtime_error("cannot store the result in " + cache->PathFor(key));
+  }
+  return out;
+}
+
+CellResult FailedCell(const SweepCell& cell, std::string error) {
+  CellResult out;
+  out.cell = cell;
+  out.error = std::move(error);
   return out;
 }
 
@@ -176,13 +186,14 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
   if (sharded) {
     AQL_CHECK_MSG(options.shard_index >= 1 && options.shard_index <= options.shard_count,
                   "shard index out of range (want 1 <= K <= N)");
+    AQL_CHECK_MSG(!options.cache_dir.empty(),
+                  "a sharded run stores its cells in the cell cache: set cache_dir");
   }
   const bool cell_selected = !options.only_cell.empty();
   AQL_CHECK_MSG(!(sharded && cell_selected),
                 "--cell and --shard are mutually exclusive");
 
   std::vector<SweepCell> cells = ExpandCells(spec, options);
-  const size_t total_cells = cells.size();
   if (sharded) {
     std::vector<SweepCell> mine;
     for (size_t i = 0; i < cells.size(); ++i) {
@@ -205,7 +216,7 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
 
   std::unique_ptr<CellCache> cache;
   if (!options.cache_dir.empty()) {
-    cache = std::make_unique<CellCache>(options.cache_dir, options.config_hash);
+    cache = std::make_unique<CellCache>(options.cache_dir);
   }
 
   std::vector<CellResult> results(cells.size());
@@ -219,13 +230,9 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
     try {
       results[i] = RunOrLoadCell(cells[i], options, cache.get());
     } catch (const std::exception& e) {
-      results[i] = CellResult{};
-      results[i].cell = cells[i];
-      results[i].error = e.what();
+      results[i] = FailedCell(cells[i], e.what());
     } catch (...) {
-      results[i] = CellResult{};
-      results[i].cell = cells[i];
-      results[i].error = "unknown exception";
+      results[i] = FailedCell(cells[i], "unknown exception");
     }
   };
   // Single-cell runs (a --cell selection, or a sweep/shard that expanded to
@@ -269,8 +276,8 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
   SweepContext ctx(options, std::move(results));
   // A shard (or a --cell selection) holds an arbitrary subset of cells, so
   // the render step (which addresses cells by id across the whole sweep)
-  // only runs over full expansions; MergeFragments re-renders over the
-  // reassembled union of shards.
+  // only runs over full expansions; an unsharded run over the shards'
+  // cache renders the union.
   double render_seconds = 0.0;
   if (failed_cells > 0) {
     // Renderers address cells by id and expect complete results; with any
@@ -296,9 +303,6 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
   out.summary = std::move(ctx.summary);
   out.notes = std::move(ctx.notes);
   out.timings = std::move(ctx.timings);
-  out.shard_index = sharded ? options.shard_index : 0;
-  out.shard_count = sharded ? options.shard_count : 0;
-  out.total_cells = total_cells;
   out.failed_cells = failed_cells;
   if (options.profile) {
     // Completes the --profile phase picture: compute phases live in the

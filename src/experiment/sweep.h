@@ -38,9 +38,9 @@ struct SweepOptions {
   // Sharded execution (`--shard K/N`): run only the cells whose expansion
   // index i satisfies i % shard_count == shard_index - 1 (round-robin, so
   // shards are balanced regardless of how a sweep orders its cells).
-  // shard_count == 0 means unsharded. Sharded runs skip the render step —
-  // their output is a fragment to be combined by MergeFragments, which
-  // re-renders over the union (src/experiment/merge.h).
+  // shard_count == 0 means unsharded. A sharded run needs `cache_dir`: it
+  // stores every cell it computes there and skips the render step; an
+  // unsharded run over the shards' cache renders the union from hits.
   int shard_index = 0;  // 1-based
   int shard_count = 0;
   // Run a single cell by id (`--cell <id>`): the expansion is filtered to
@@ -64,10 +64,6 @@ struct SweepOptions {
   // Cell-result cache directory (`--cache-dir`); empty disables caching.
   // See src/experiment/cell_cache.h for the key and invalidation contract.
   std::string cache_dir;
-  // Overrides the cache's configuration fingerprint; 0 means "use the
-  // engine default" (CellCache::DefaultConfigHash). Changing it invalidates
-  // every cached cell.
-  uint64_t config_hash = 0;
 
   // Window scaling helpers used by sweep builders: full durations in normal
   // mode, ~10x shorter in quick mode with floors that keep the vTRS
@@ -94,7 +90,8 @@ struct CellResult {
   // Non-empty when the cell's scenario build or run threw instead of
   // completing: the engine records the failure here (structured `error`
   // entry in JSON), finishes the remaining cells, and aql_bench exits
-  // non-zero. Failed cells are never cached or rendered.
+  // non-zero. Failed cells are never cached or rendered. In a sharded run
+  // a cell whose result could not be stored in the cache fails too.
   std::string error;
 };
 
@@ -152,18 +149,13 @@ struct SweepResult {
   std::string description;
   SweepOptions options;
   std::vector<CellResult> cells;
-  // Render output (empty for sharded runs; fragments carry cells only).
+  // Render output (empty for sharded runs, which only fill the cache).
   std::string text;
   std::vector<std::pair<std::string, TextTable>> tables;
   std::vector<std::pair<std::string, double>> summary;
   std::vector<std::pair<std::string, std::string>> notes;
   std::vector<std::pair<std::string, double>> timings;
   double wall_seconds = 0.0;  // whole sweep, including render
-  // Shard bookkeeping: which slice this run executed (0/0 = unsharded) and
-  // how many cells the full expansion has (merge completeness check).
-  int shard_index = 0;
-  int shard_count = 0;
-  size_t total_cells = 0;
   // Cells whose run threw (CellResult::error). Non-zero makes aql_bench
   // exit non-zero after finishing every remaining cell and sweep.
   size_t failed_cells = 0;
@@ -171,8 +163,7 @@ struct SweepResult {
 
 // Expands `spec` into its full cell list (deterministic in `options`),
 // verifies cell-id uniqueness, and derives each cell's seed from the
-// declared scenario seed + options.seed_salt. Shared by RunSweep and
-// MergeFragments so both sides agree on cell identity and order.
+// declared scenario seed + options.seed_salt.
 std::vector<SweepCell> ExpandCells(const SweepSpec& spec, const SweepOptions& options);
 
 // Round-robin shard membership for expansion index `index` (see
