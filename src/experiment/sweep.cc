@@ -510,8 +510,8 @@ JsonValue SweepJson(const SweepResult& result, bool include_timing) {
       .Set("seed_salt", result.options.seed_salt);
   if (include_timing) {
     // Thread counts never affect results; they are timing metadata. Both
-    // levers ride here so perf tooling (bench_diff.py --walls) can label
-    // wall-time rows with the parallelism that produced them.
+    // levers ride here so a reader of the timed JSON can tell which
+    // parallelism produced its wall times.
     opts.Set("jobs", result.options.jobs);
     opts.Set("island_threads", result.options.island_threads);
   }
