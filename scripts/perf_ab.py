@@ -25,6 +25,15 @@ It also prints each side's failed/attempted operation share and how many of
 its runs printed "digest unchanged". The exit status is 1 when any metric is
 a REGRESSION or the change fails a larger share of operations than the base
 on any workload, else 0.
+
+Last, a normalizer witness: the address mod 64 of the benchmark's reference
+kernel, perfbench::ReferenceSliceSeconds(), in each side's
+.bench_build/aql_perfbench (read with nm; "unknown" when there is no such
+symbol). The host-speed normalizer shares the binary with the simulator, so
+a change that moves the kernel to another cache-line offset can move its
+speed, and with it sim_speed and setup_s; when the two offsets differ the
+script prints a warning that those two metrics are confounded. The witness
+changes no verdict and no exit status.
 """
 
 import json
@@ -39,6 +48,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 WIN_SHARE = 0.9
+# perfbench::ReferenceSliceSeconds(), the host-speed normalizer's kernel.
+KERNEL_SYMBOL = "_ZN9perfbench21ReferenceSliceSecondsEv"
 
 
 def compare(base, change, better, bound):
@@ -112,6 +123,32 @@ def report(workload, metrics, base_runs, change_runs):
     return failed
 
 
+def kernel_alignment(tree):
+    """Address mod 64 of the reference kernel in tree's benchmark binary,
+    as hex, or "unknown"."""
+    binary = os.path.join(tree, ".bench_build", "aql_perfbench")
+    try:
+        proc = subprocess.run(["nm", binary], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+    except OSError:  # no nm on this host
+        return "unknown"
+    for line in proc.stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[2] == KERNEL_SYMBOL:
+            return f"0x{int(fields[0], 16) % 64:02x}"
+    return "unknown"
+
+
+def witness(base, change):
+    """The normalizer-witness lines for the two sides' kernel alignments."""
+    lines = [f"normalizer witness: ReferenceSliceSeconds address mod 64: "
+             f"base {base}, change {change}"]
+    if base != change:
+        lines.append("warning: the reference kernel moved to another cache-line offset; "
+                     "sim_speed and setup_s are confounded with code layout")
+    return lines
+
+
 def main(argv):
     if len(argv) < 2 or argv[1].startswith("-"):
         print("usage: scripts/perf_ab.py BASE [WORKLOAD ...]", file=sys.stderr)
@@ -148,6 +185,9 @@ def main(argv):
                     print(f"[{workload} pair {i + 1}/{PAIRS}] {side}: {headline} {value}",
                           file=sys.stderr, flush=True)
             failed = report(workload, bench["end_to_end"], runs["base"], runs["change"]) or failed
+        print()
+        for line in witness(kernel_alignment(base_tree), kernel_alignment(ROOT)):
+            print(line)
         return 1 if failed else 0
     except subprocess.CalledProcessError as err:
         print(f"perf_ab: {err}", file=sys.stderr)

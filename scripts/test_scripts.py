@@ -148,6 +148,14 @@ class VerdictTest(unittest.TestCase):
                          "REGRESSION")
 
 
+class WitnessTest(unittest.TestCase):
+    def test_warns_only_when_the_kernel_moved(self):
+        self.assertEqual(len(perf_ab.witness("0x30", "0x30")), 1)
+        moved = perf_ab.witness("0x30", "0x00")
+        self.assertIn("base 0x30, change 0x00", moved[0])
+        self.assertIn("sim_speed and setup_s are confounded", moved[1])
+
+
 # Stub benchmark: prints a fixed result; in a tree holding a file named
 # FAIL it reports 2 of 100 operations failed.
 STUB_RUN = '''import json, os
@@ -194,6 +202,11 @@ class PerfAbScriptTest(unittest.TestCase):
         self.assertIn("change: failed/attempted 0/1000, digest unchanged in 10/10 runs",
                       proc.stdout)
         self.assertEqual(len(self.git("worktree", "list").splitlines()), 1)
+        # The stub has no benchmark binary: the witness reads "unknown" on
+        # both sides, which is no reason to warn or to fail.
+        self.assertIn("ReferenceSliceSeconds address mod 64: base unknown, change unknown",
+                      proc.stdout)
+        self.assertNotIn("confounded", proc.stdout)
 
     def test_larger_failed_share_exits_1(self):
         open(os.path.join(self.repo, "FAIL"), "w").close()

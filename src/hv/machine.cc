@@ -37,8 +37,10 @@ Machine::Machine(Simulation& sim, const MachineConfig& config)
     const int pcpu = static_cast<int>(p);
     // Slot registration consumes no sequence number, so the event order of a
     // run is unchanged vs. scheduling segment events dynamically.
-    pcpus_[p].segment_slot = sim_.queue().RegisterSlot(
-        [this, pcpu](TimeNs) { OnSegmentEnd(pcpu); }, SocketRank(pcpus_[p].socket));
+    PcpuState& state = pcpus_[p];
+    state.on_segment_end = SegmentEnd{this, pcpu};
+    const EventRank rank = SocketRank(state.socket);
+    state.segment_slot = sim_.queue().RegisterSlot(state.on_segment_end, rank);
   }
 }
 
@@ -277,7 +279,7 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
   BeginStep(pcpu);
 }
 
-void Machine::BeginStep(int pcpu) {
+[[gnu::always_inline]] inline void Machine::BeginStep(int pcpu) {
   PcpuState& s = pcpus_[static_cast<size_t>(pcpu)];
   Vcpu* v = s.current;
   AQL_CHECK(v != nullptr);
@@ -361,20 +363,26 @@ void Machine::BeginStep(int pcpu) {
       break;
     }
     case Step::Kind::kFinished: {
-      ChargeRuntime(pcpu, v);
-      v->state = RunState::kFinished;
-      v->boosted = false;
-      v->running_pcpu = -1;
-      llc_.SetRunning(s.socket, v->id(), false);
-      llc_.Remove(s.socket, v->id());
-      s.current = nullptr;
-      TryDispatch(pcpu);
+      FinishCurrent(pcpu);
       break;
     }
   }
 }
 
-void Machine::OnSegmentEnd(int pcpu) {
+void Machine::FinishCurrent(int pcpu) {
+  PcpuState& s = pcpus_[static_cast<size_t>(pcpu)];
+  Vcpu* v = s.current;
+  ChargeRuntime(pcpu, v);
+  v->state = RunState::kFinished;
+  v->boosted = false;
+  v->running_pcpu = -1;
+  llc_.SetRunning(s.socket, v->id(), false);
+  llc_.Remove(s.socket, v->id());
+  s.current = nullptr;
+  TryDispatch(pcpu);
+}
+
+[[gnu::always_inline]] inline void Machine::OnSegmentEnd(int pcpu) {
   PcpuState& s = pcpus_[static_cast<size_t>(pcpu)];
   AQL_CHECK(s.current != nullptr);
   const TimeNs now = sim_.Now();
@@ -394,7 +402,7 @@ void Machine::OnSegmentEnd(int pcpu) {
   Drain();
 }
 
-void Machine::EndStep(int pcpu, bool completed) {
+[[gnu::always_inline]] inline void Machine::EndStep(int pcpu, bool completed) {
   PcpuState& s = pcpus_[static_cast<size_t>(pcpu)];
   Vcpu* v = s.current;
   AQL_CHECK(v != nullptr);
@@ -418,15 +426,21 @@ void Machine::EndStep(int pcpu, bool completed) {
             static_cast<double>(guest_elapsed) / static_cast<double>(guest_planned), 0.0,
             1.0);
       }
-      const TimeNs work_done =
-          completed ? s.step_work
-                    : static_cast<TimeNs>(static_cast<double>(s.step_work) * frac);
-      const uint64_t refs =
-          static_cast<uint64_t>(static_cast<double>(s.step_refs) * frac);
-      const uint64_t misses =
-          static_cast<uint64_t>(static_cast<double>(s.step_misses) * frac);
-      const uint64_t remote =
-          static_cast<uint64_t>(static_cast<double>(s.step_remote) * frac);
+      // A whole step (completed, or truncated at its planned end) keeps its
+      // planned counts. Skipping the pro-rating is exact: x * 1.0 == x, and
+      // every count here round-trips through a double unchanged (refs,
+      // misses and remote were converted from doubles; work is far below
+      // 2^53 ns).
+      TimeNs work_done = s.step_work;
+      uint64_t refs = s.step_refs;
+      uint64_t misses = s.step_misses;
+      uint64_t remote = s.step_remote;
+      if (frac != 1.0) {
+        work_done = static_cast<TimeNs>(static_cast<double>(s.step_work) * frac);
+        refs = static_cast<uint64_t>(static_cast<double>(s.step_refs) * frac);
+        misses = static_cast<uint64_t>(static_cast<double>(s.step_misses) * frac);
+        remote = static_cast<uint64_t>(static_cast<double>(s.step_remote) * frac);
+      }
       v->pmu.instructions += static_cast<uint64_t>(
           static_cast<double>(work_done) * s.step.mem.instructions_per_ns);
       v->pmu.llc_references += refs;
@@ -791,8 +805,14 @@ uint64_t Machine::total_dispatches() const {
 // ---------------------------------------------------------------------------
 // Deferred-operation machinery
 
-void Machine::Drain() {
+inline void Machine::Drain() {
   AQL_CHECK(!processing_);
+  if (!deferred_.empty()) {
+    RunDeferred();
+  }
+}
+
+void Machine::RunDeferred() {
   // Hold the guard while draining: operations triggered from inside a
   // drained callback (e.g. a spin-lock handoff kicked from OnStepEnd) are
   // themselves deferred into the next batch instead of interleaving with a

@@ -171,6 +171,14 @@ class Machine : public WorkloadHost {
   Vcpu* RunningOn(int pcpu) const;
 
  private:
+  // A pCPU's segment-slot handler (the timer core calls it through a plain
+  // function pointer instantiated in machine.cc, where OnSegmentEnd inlines).
+  struct SegmentEnd {
+    Machine* machine = nullptr;
+    int pcpu = -1;
+    void operator()(TimeNs) const { machine->OnSegmentEnd(pcpu); }
+  };
+
   struct PcpuState {
     Vcpu* current = nullptr;
     TimeNs dispatch_start = 0;
@@ -195,6 +203,7 @@ class Machine : public WorkloadHost {
     // One-outstanding-deadline timer slot for this pCPU's segment/quantum
     // events (registered once; arming/disarming is O(1) in the timer core).
     EventQueue::SlotId segment_slot = -1;
+    SegmentEnd on_segment_end;  // the slot's handler; pcpus_ never reallocates
     // Socket of this pCPU, hoisted from Topology::SocketOf (hot path).
     int socket = 0;
     // Accounting.
@@ -206,9 +215,12 @@ class Machine : public WorkloadHost {
   void Resched(int pcpu);
   void TryDispatch(int pcpu);
   void Dispatch(int pcpu, Vcpu* v, bool switched);
+  // The per-step path: OnSegmentEnd runs EndStep and then BeginStep, all
+  // three compiled inline in machine.cc.
   void BeginStep(int pcpu);
   void OnSegmentEnd(int pcpu);
   void EndStep(int pcpu, bool completed);
+  void FinishCurrent(int pcpu);
   void TruncateStep(int pcpu);
   void DescheduleCurrent(int pcpu);
   void PreemptCurrent(int pcpu, bool front);
@@ -236,8 +248,10 @@ class Machine : public WorkloadHost {
   }
 
   // Reentrancy guard: workload callbacks issued while the machine is
-  // mid-operation are deferred and drained at a consistent point.
+  // mid-operation are deferred and drained at a consistent point. Drain
+  // returns at once when nothing is deferred (the common case).
   void Drain();
+  void RunDeferred();
   template <typename F>
   void RunOrDefer(F&& f);
 

@@ -14,15 +14,6 @@ LlcModel::LlcModel(int sockets, uint64_t capacity_bytes, const HwParams& params)
   AQL_CHECK(w >= 0.0 && w <= 1.0);
 }
 
-LlcModel::Slot& LlcModel::SlotOf(int socket, int vcpu) {
-  AQL_CHECK(vcpu >= 0);
-  SocketState& s = At(socket);
-  if (static_cast<size_t>(vcpu) >= s.slots.size()) {
-    s.slots.resize(static_cast<size_t>(vcpu) + 1);
-  }
-  return s.slots[static_cast<size_t>(vcpu)];
-}
-
 double LlcModel::Leave(SocketState& s, Slot& slot) {
   const double bytes = OccupancyOf(s, slot);
   s.bytes[slot.cls] -= bytes;
@@ -41,47 +32,7 @@ void LlcModel::Join(SocketState& s, Slot& slot, Class cls, double bytes) {
   }
 }
 
-double LlcModel::MissRatio(int socket, int vcpu, uint64_t wss_bytes) const {
-  const SocketState& s = At(socket);
-  const size_t v = static_cast<size_t>(vcpu);  // a negative id wraps: absent
-  if (wss_bytes == 0 || v >= s.slots.size()) {
-    return wss_bytes == 0 ? params_.min_miss_ratio : 1.0;  // 1.0: nothing resident
-  }
-  const Slot& slot = s.slots[v];
-  if (slot.memo_epoch == s.epoch && slot.memo_wss == wss_bytes) {
-    ++counters_.memo_hits;
-    return slot.memo_ratio;
-  }
-  ++counters_.memo_misses;  // references spread uniformly; the resident part hits
-  slot.memo_epoch = s.epoch;
-  slot.memo_wss = wss_bytes;
-  slot.memo_ratio = std::max(params_.min_miss_ratio,
-                             1.0 - OccupancyOf(s, slot) / static_cast<double>(wss_bytes));
-  return slot.memo_ratio;
-}
-
-void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t misses) {
-  if (misses == 0 || wss_bytes == 0) {
-    return;
-  }
-  ++counters_.commits;
-  Slot& me = SlotOf(socket, vcpu);
-  SocketState& s = At(socket);
-  me.wss = wss_bytes;
-  const Class cls = ClassOf(me.running, wss_bytes);
-  const double occ = OccupancyOf(s, me);
-  const double limit = static_cast<double>(std::min(wss_bytes, capacity_));
-  uint64_t fetched = misses * params_.cache_line_bytes;
-  if (wss_bytes > capacity_) {
-    // Streaming fetches carry no reuse; DIP/RRIP insertion admits a fraction.
-    fetched = static_cast<uint64_t>(static_cast<double>(fetched) *
-                                    params_.stream_insertion_fraction);
-  }
-  const double grow =
-      std::min(static_cast<double>(fetched), limit > occ ? limit - occ : 0.0);
-  if (grow == 0.0 && cls == me.cls) {
-    return;  // warm: nothing changes, and MissRatio keeps hitting its memo
-  }
+void LlcModel::Grow(SocketState& s, Slot& me, Class cls, double grow) {
   // Growth or a class change. The fetcher stays out while the victims scale.
   ++s.epoch;
   double mine = Leave(s, me) + grow;
@@ -167,7 +118,6 @@ uint64_t LlcModel::TotalOccupancy(int socket) const {
 
 MemBus::MemBus(int sockets, double bw_bytes_per_ns)
     : bw_(bw_bytes_per_ns),
-      demand_(static_cast<size_t>(sockets)),
       total_(static_cast<size_t>(sockets), 0.0),
       epoch_(static_cast<size_t>(sockets), 1),
       memo_(static_cast<size_t>(sockets)) {
@@ -175,45 +125,20 @@ MemBus::MemBus(int sockets, double bw_bytes_per_ns)
   AQL_CHECK(bw_bytes_per_ns >= 0.0);
 }
 
-void MemBus::SetDemand(int socket, int pcpu, double bytes_per_ns) {
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(demand_.size()));
-  AQL_CHECK(pcpu >= 0);
-  AQL_CHECK(bytes_per_ns >= 0.0);
-  auto& per_pcpu = demand_[static_cast<size_t>(socket)];
-  if (static_cast<size_t>(pcpu) >= per_pcpu.size()) {
-    per_pcpu.resize(static_cast<size_t>(pcpu) + 1, 0.0);
+void MemBus::Bind(int socket, int pcpu) {
+  if (static_cast<size_t>(pcpu) >= demand_.size()) {
+    demand_.resize(static_cast<size_t>(pcpu) + 1);
   }
-  double& slot = per_pcpu[static_cast<size_t>(pcpu)];
-  if (bytes_per_ns == slot) {
-    // No change: skipping the `total += new - old` of an exact zero delta is
-    // bit-safe (totals are never -0.0, so x + 0.0 == x), and it keeps the
-    // epoch stable for the StallFactor memo.
-    return;
+  PcpuDemand& d = demand_[static_cast<size_t>(pcpu)];
+  if (d.socket < 0) {
+    d.socket = socket;
   }
-  total_[static_cast<size_t>(socket)] += bytes_per_ns - slot;
-  slot = bytes_per_ns;
-  ++epoch_[static_cast<size_t>(socket)];
+  AQL_CHECK_MSG(d.socket == socket, "a pCPU's memory-bus demand moved to another socket");
 }
 
 double MemBus::TotalDemand(int socket) const {
   AQL_CHECK(socket >= 0 && socket < static_cast<int>(total_.size()));
   return total_[static_cast<size_t>(socket)];
-}
-
-double MemBus::StallFactor(int socket, double extra_demand) const {
-  if (bw_ <= 0.0) {
-    return 1.0;
-  }
-  AQL_CHECK(socket >= 0 && socket < static_cast<int>(total_.size()));
-  StallMemo& memo = memo_[static_cast<size_t>(socket)];
-  if (memo.epoch == epoch_[static_cast<size_t>(socket)] && memo.extra == extra_demand) {
-    return memo.factor;
-  }
-  const double demand = total_[static_cast<size_t>(socket)] + extra_demand;
-  memo.epoch = epoch_[static_cast<size_t>(socket)];
-  memo.extra = extra_demand;
-  memo.factor = demand > bw_ ? demand / bw_ : 1.0;
-  return memo.factor;
 }
 
 }  // namespace aql

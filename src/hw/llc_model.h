@@ -28,11 +28,13 @@
 #ifndef AQLSCHED_SRC_HW_LLC_MODEL_H_
 #define AQLSCHED_SRC_HW_LLC_MODEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/hw/topology.h"
+#include "src/sim/check.h"
 
 namespace aql {
 
@@ -96,6 +98,9 @@ class LlcModel {
   const SocketState& At(int s) const { return sockets_.at(static_cast<size_t>(s)); }
   SocketState& At(int s) { return sockets_.at(static_cast<size_t>(s)); }
   Slot& SlotOf(int socket, int vcpu);  // grows the socket's table
+  // CommitAccesses past its warm early return: `me` grows by `grow` bytes
+  // and/or moves to class `cls`, evicting co-residents on overflow.
+  void Grow(SocketState& s, Slot& me, Class cls, double grow);
   Class ClassOf(bool running, uint64_t wss) const {
     return running && wss != 0 && wss <= capacity_ ? kProtected : kOther;
   }
@@ -124,10 +129,10 @@ class LlcModel {
 // each other. With mem_bw_bytes_per_ns == 0 the bus is unmodeled and the
 // factor is always 1.
 //
-// Demand lives in flat per-socket vectors indexed by pcpu id, with running
-// totals kept by `total += new - old`. StallFactor is memoized per (socket,
-// demand epoch, extra demand); the epoch advances only when a SetDemand
-// actually changes a slot.
+// Demand lives in one flat vector indexed by pcpu id (a pCPU registers on
+// one socket only), with per-socket running totals kept by `total += new -
+// old`. StallFactor is memoized per (socket, demand epoch, extra demand);
+// the epoch advances only when a SetDemand actually changes a slot.
 class MemBus {
  public:
   MemBus(int sockets, double bw_bytes_per_ns);
@@ -151,14 +156,114 @@ class MemBus {
     double extra = 0.0;
     double factor = 1.0;
   };
+  struct PcpuDemand {
+    double bytes_per_ns = 0.0;
+    int socket = -1;  // bound by the pCPU's first SetDemand
+  };
+
+  // Grows `demand_` to cover `pcpu` and binds it to `socket`; checks that a
+  // bound pCPU stays on its socket.
+  void Bind(int socket, int pcpu);
 
   double bw_;
-  // socket -> demand by pcpu id (grown on demand; ids are small and dense).
-  std::vector<std::vector<double>> demand_;
+  std::vector<PcpuDemand> demand_;  // by pcpu id (grown on demand; ids are dense)
   std::vector<double> total_;
   std::vector<uint64_t> epoch_;
   mutable std::vector<StallMemo> memo_;  // logically-const cache
 };
+
+// Hot-path members, defined here so the dispatcher's per-step calls compile
+// into it.
+
+inline LlcModel::Slot& LlcModel::SlotOf(int socket, int vcpu) {
+  AQL_CHECK(vcpu >= 0);
+  SocketState& s = At(socket);
+  if (static_cast<size_t>(vcpu) >= s.slots.size()) {
+    s.slots.resize(static_cast<size_t>(vcpu) + 1);
+  }
+  return s.slots[static_cast<size_t>(vcpu)];
+}
+
+inline double LlcModel::MissRatio(int socket, int vcpu, uint64_t wss_bytes) const {
+  const SocketState& s = At(socket);
+  const size_t v = static_cast<size_t>(vcpu);  // a negative id wraps: absent
+  if (wss_bytes == 0 || v >= s.slots.size()) {
+    return wss_bytes == 0 ? params_.min_miss_ratio : 1.0;  // 1.0: nothing resident
+  }
+  const Slot& slot = s.slots[v];
+  if (slot.memo_epoch == s.epoch && slot.memo_wss == wss_bytes) {
+    ++counters_.memo_hits;
+    return slot.memo_ratio;
+  }
+  ++counters_.memo_misses;  // references spread uniformly; the resident part hits
+  slot.memo_epoch = s.epoch;
+  slot.memo_wss = wss_bytes;
+  slot.memo_ratio = std::max(params_.min_miss_ratio,
+                             1.0 - OccupancyOf(s, slot) / static_cast<double>(wss_bytes));
+  return slot.memo_ratio;
+}
+
+inline void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes,
+                                     uint64_t misses) {
+  if (misses == 0 || wss_bytes == 0) {
+    return;
+  }
+  ++counters_.commits;
+  Slot& me = SlotOf(socket, vcpu);
+  SocketState& s = At(socket);
+  me.wss = wss_bytes;
+  const Class cls = ClassOf(me.running, wss_bytes);
+  const double occ = OccupancyOf(s, me);
+  const double limit = static_cast<double>(std::min(wss_bytes, capacity_));
+  uint64_t fetched = misses * params_.cache_line_bytes;
+  if (wss_bytes > capacity_) {
+    // Streaming fetches carry no reuse; DIP/RRIP insertion admits a fraction.
+    fetched = static_cast<uint64_t>(static_cast<double>(fetched) *
+                                    params_.stream_insertion_fraction);
+  }
+  const double grow =
+      std::min(static_cast<double>(fetched), limit > occ ? limit - occ : 0.0);
+  if (grow == 0.0 && cls == me.cls) {
+    return;  // warm: nothing changes, and MissRatio keeps hitting its memo
+  }
+  Grow(s, me, cls, grow);
+}
+
+inline void MemBus::SetDemand(int socket, int pcpu, double bytes_per_ns) {
+  AQL_CHECK(socket >= 0 && socket < static_cast<int>(total_.size()));
+  AQL_CHECK(pcpu >= 0);
+  AQL_CHECK(bytes_per_ns >= 0.0);
+  if (static_cast<size_t>(pcpu) >= demand_.size() ||
+      demand_[static_cast<size_t>(pcpu)].socket != socket) {
+    Bind(socket, pcpu);
+  }
+  double& slot = demand_[static_cast<size_t>(pcpu)].bytes_per_ns;
+  if (bytes_per_ns == slot) {
+    // No change: skipping the `total += new - old` of an exact zero delta is
+    // bit-safe (totals are never -0.0, so x + 0.0 == x), and it keeps the
+    // epoch stable for the StallFactor memo.
+    return;
+  }
+  total_[static_cast<size_t>(socket)] += bytes_per_ns - slot;
+  slot = bytes_per_ns;
+  ++epoch_[static_cast<size_t>(socket)];
+}
+
+inline double MemBus::StallFactor(int socket, double extra_demand) const {
+  if (bw_ <= 0.0) {
+    return 1.0;
+  }
+  AQL_CHECK(socket >= 0 && socket < static_cast<int>(total_.size()));
+  StallMemo& memo = memo_[static_cast<size_t>(socket)];
+  if (memo.epoch == epoch_[static_cast<size_t>(socket)] && memo.extra == extra_demand) {
+    return memo.factor;
+  }
+  const double demand = total_[static_cast<size_t>(socket)] + extra_demand;
+  memo.epoch = epoch_[static_cast<size_t>(socket)];
+  memo.extra = extra_demand;
+  memo.factor = demand > bw_ ? demand / bw_ : 1.0;
+  return memo.factor;
+}
 
 }  // namespace aql
 

@@ -14,7 +14,7 @@
 //    Cancel is an O(1) liveness flip — no tombstone side-table — and a
 //    cancel of an id that already fired (or was already cancelled) is a
 //    checked no-op: the generation no longer matches, nothing leaks.
-//  * Timer slots (RegisterSlot/ArmSlot/DisarmSlot): a fixed callback with at
+//  * Timer slots (RegisterSlot/ArmSlot/DisarmSlot): a fixed handler with at
 //    most one outstanding deadline, for high-frequency periodic deadlines
 //    that are re-armed constantly (the dispatcher's per-pCPU segment timer).
 //    Re-arming overwrites the deadline in place — no heap traffic, no
@@ -25,15 +25,24 @@
 //
 // The pop path takes the minimum of the heap front (dead entries skimmed
 // lazily) and a linear scan over the slots; slot counts are tiny (one per
-// pCPU), so the scan is cheaper than the heap churn it replaces.
+// pCPU), so the scan is cheaper than the heap churn it replaces. The slot
+// deadlines sit in a dense {when, key} array that the scan reads without
+// touching the handlers; a disarmed slot holds a sentinel that sorts after
+// every armable deadline. Arming, disarming and the pop path are defined in
+// this header so they compile into their callers, and a slot's handler is
+// called through a plain function pointer instantiated where it was
+// registered (no std::function).
 
 #ifndef AQLSCHED_SRC_SIM_EVENT_QUEUE_H_
 #define AQLSCHED_SRC_SIM_EVENT_QUEUE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
+#include "src/sim/check.h"
 #include "src/sim/time.h"
 
 namespace aql {
@@ -74,10 +83,16 @@ class EventQueue {
   // ids that already fired or were already cancelled are a checked no-op.
   bool Cancel(EventId id);
 
-  // Registers a permanent timer slot with a fixed callback and tie-break
-  // rank and no armed deadline. Must not be called from inside a slot
-  // callback (the callback lives in the slot table).
-  SlotId RegisterSlot(Callback cb, EventRank rank = kDefaultRank);
+  // Registers a permanent timer slot with a fixed handler and tie-break
+  // rank and no armed deadline; when the slot's deadline pops, the queue
+  // calls handler(now). The queue keeps a reference to `handler`, not a
+  // copy, so it must stay alive while the slot can fire. Must not be called
+  // from inside a slot handler (the handler table may grow).
+  template <typename Handler>
+  SlotId RegisterSlot(Handler& handler, EventRank rank = kDefaultRank) {
+    return AddSlot(const_cast<void*>(static_cast<const void*>(&handler)),
+                   [](void* h, TimeNs now) { (*static_cast<Handler*>(h))(now); }, rank);
+  }
 
   // Arms (or re-arms, overwriting any pending deadline) `slot` to fire at
   // `when`. Draws a fresh sequence number, exactly like ScheduleAt with the
@@ -112,6 +127,9 @@ class EventQueue {
   void set_profile(EventCoreProfile* profile) { profile_ = profile; }
 
  private:
+  using ProfileClock = std::chrono::steady_clock;
+  using SlotFn = void (*)(void* handler, TimeNs now);
+
   // `key` packs (rank, seq) into one integer — rank in the top 8 bits — so
   // the tie-break costs the same single compare as a plain sequence number.
   struct HeapEntry {
@@ -124,20 +142,28 @@ class EventQueue {
     uint32_t generation = 0;
     bool live = false;
   };
-  struct Slot {
-    Callback cb;
-    TimeNs when = 0;
-    uint64_t key = 0;
-    EventRank rank = kDefaultRank;
-    bool armed = false;
+  // A slot's armed deadline, or kDisarmed. Real keys stay below the
+  // sentinel key (the sequence counter would need 2^56 draws to reach it),
+  // so kDisarmed sorts after every deadline ArmSlot can set, kTimeInfinite
+  // included, and never wins the scan.
+  struct Deadline {
+    TimeNs when;
+    uint64_t key;
   };
-  // Earliest live event: a slot index, or the heap front (slot == -1), or
-  // nothing (any == false).
+  static constexpr Deadline kDisarmed = {std::numeric_limits<TimeNs>::max(),
+                                         std::numeric_limits<uint64_t>::max()};
+  struct SlotHandler {
+    SlotFn fn;
+    void* handler;
+    EventRank rank;
+  };
+  // Earliest live event: a slot index, the heap front, or nothing.
+  static constexpr int kHeapFront = -1;
+  static constexpr int kNone = -2;
   struct Best {
-    TimeNs when = 0;
-    uint64_t key = 0;
-    int slot = -1;
-    bool any = false;
+    TimeNs when;
+    uint64_t key;
+    int slot;
   };
 
   static bool HeapLater(const HeapEntry& a, const HeapEntry& b) {
@@ -152,13 +178,24 @@ class EventQueue {
     return (static_cast<uint64_t>(rank) << kRankShift) | next_seq_++;
   }
 
+  SlotId AddSlot(void* handler, SlotFn fn, EventRank rank);
+
   // Drops cancelled entries from the front of the heap and recycles their
   // slab slots. Logically const: dead entries are unobservable, skimming
   // only changes when their storage is reclaimed (hence the mutable state).
-  void SkimDead() const;
+  void SkimDead() const {
+    if (!heap_.empty() && !slab_[heap_.front().index].live) {
+      SkimDeadFront();
+    }
+  }
+  void SkimDeadFront() const;
 
   Best FindBest() const;
   bool RunBest(TimeNs deadline);
+  // Pops the heap front and runs its callback (RunBest's dynamic-event arm).
+  void RunHeapFront(ProfileClock::time_point profile_start);
+  // Adds the pop machinery's time since `start` to the profile sink.
+  void FlushProfile(ProfileClock::time_point start);
 
   static EventId MakeId(uint32_t index, uint32_t generation) {
     return (static_cast<EventId>(index + 1) << 32) | generation;
@@ -167,15 +204,85 @@ class EventQueue {
   mutable std::vector<HeapEntry> heap_;  // binary min-heap by (when, key)
   mutable std::vector<SlabEntry> slab_;
   mutable std::vector<uint32_t> free_;  // recycled slab indices
-  std::vector<Slot> slots_;
+  std::vector<Deadline> deadlines_;     // by slot id
+  std::vector<SlotHandler> handlers_;   // by slot id
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
   size_t live_count_ = 0;
-  // Guards RegisterSlot against growing `slots_` while a slot callback is
-  // executing from inside it.
+  // Guards RegisterSlot against growing `handlers_` while a slot handler is
+  // executing.
   bool slot_callback_active_ = false;
   EventCoreProfile* profile_ = nullptr;
 };
+
+inline void EventQueue::ArmSlot(SlotId slot, TimeNs when) {
+  AQL_CHECK(slot >= 0 && slot < static_cast<SlotId>(deadlines_.size()));
+  AQL_CHECK_MSG(when >= now_, "slot armed in the past");
+  Deadline& d = deadlines_[static_cast<size_t>(slot)];
+  if (d.key == kDisarmed.key) {
+    ++live_count_;
+  }
+  d.when = when;
+  d.key = NextKey(handlers_[static_cast<size_t>(slot)].rank);
+}
+
+inline void EventQueue::DisarmSlot(SlotId slot) {
+  AQL_CHECK(slot >= 0 && slot < static_cast<SlotId>(deadlines_.size()));
+  Deadline& d = deadlines_[static_cast<size_t>(slot)];
+  if (d.key != kDisarmed.key) {
+    d = kDisarmed;
+    AQL_CHECK(live_count_ > 0);
+    --live_count_;
+  }
+}
+
+inline bool EventQueue::SlotArmed(SlotId slot) const {
+  AQL_CHECK(slot >= 0 && slot < static_cast<SlotId>(deadlines_.size()));
+  return deadlines_[static_cast<size_t>(slot)].key != kDisarmed.key;
+}
+
+inline EventQueue::Best EventQueue::FindBest() const {
+  SkimDead();
+  Best best{kDisarmed.when, kDisarmed.key, kNone};
+  if (!heap_.empty()) {
+    best = Best{heap_.front().when, heap_.front().key, kHeapFront};
+  }
+  for (size_t i = 0; i < deadlines_.size(); ++i) {
+    const Deadline& d = deadlines_[i];
+    if (d.when < best.when || (d.when == best.when && d.key < best.key)) {
+      best = Best{d.when, d.key, static_cast<int>(i)};
+    }
+  }
+  return best;
+}
+
+inline bool EventQueue::RunBest(TimeNs deadline) {
+  const ProfileClock::time_point profile_start =
+      profile_ != nullptr ? ProfileClock::now() : ProfileClock::time_point();
+  const Best best = FindBest();
+  if (best.slot == kNone || best.when > deadline) {
+    return false;
+  }
+  AQL_CHECK(best.when >= now_);
+  AQL_CHECK(live_count_ > 0);
+  --live_count_;
+  now_ = best.when;
+  if (best.slot == kHeapFront) {
+    RunHeapFront(profile_start);
+    return true;
+  }
+  deadlines_[static_cast<size_t>(best.slot)] = kDisarmed;
+  if (profile_ != nullptr) {
+    FlushProfile(profile_start);
+  }
+  // The handler table is stable while a handler runs (RegisterSlot is
+  // barred), and the slot is disarmed, so the handler may re-arm it.
+  const SlotHandler& h = handlers_[static_cast<size_t>(best.slot)];
+  slot_callback_active_ = true;
+  h.fn(h.handler, now_);
+  slot_callback_active_ = false;
+  return true;
+}
 
 }  // namespace aql
 

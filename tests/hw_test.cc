@@ -84,6 +84,70 @@ TEST(MemBusTest, DemandUpdatesAndClears) {
   EXPECT_DOUBLE_EQ(bus.TotalDemand(0), 0.2);
 }
 
+// Pins the bus's observable arithmetic bit for bit, whatever its storage
+// layout: each socket's total is the running `total += new - old` over the
+// updates of its own pCPUs, an update that changes nothing leaves every
+// answer bit-identical, and a real update is seen by the next StallFactor
+// even when the memo was just filled with the same extra demand.
+TEST(MemBusTest, TotalsAndMemoArePinnedAcrossSockets) {
+  MemBus bus(2, 1.0);
+  // Socket 0 owns pCPUs 0-1, socket 1 pCPUs 2-3 (as a Machine numbers them).
+  double expected[2] = {0.0, 0.0};
+  double slot[4] = {0.0, 0.0, 0.0, 0.0};
+  const auto set = [&](int socket, int pcpu, double demand) {
+    if (demand != slot[pcpu]) {
+      expected[socket] += demand - slot[pcpu];
+      slot[pcpu] = demand;
+    }
+    bus.SetDemand(socket, pcpu, demand);
+    EXPECT_EQ(bus.TotalDemand(0), expected[0]);
+    EXPECT_EQ(bus.TotalDemand(1), expected[1]);
+  };
+  set(0, 0, 0.3);
+  set(1, 3, 0.45);
+  set(0, 1, 0.7);
+  set(1, 2, 0.1);
+  set(0, 0, 0.05);
+  set(1, 3, 0.0);
+  set(0, 1, 0.7);
+  set(1, 2, 1.35);
+  set(0, 0, 0.0);
+  set(1, 3, 0.2);
+
+  // Memo filled; a no-op update (same value, and clearing an empty pCPU)
+  // changes no answer.
+  const double factor0 = bus.StallFactor(0, 0.6);
+  const double factor1 = bus.StallFactor(1, 0.6);
+  EXPECT_EQ(factor0, expected[0] + 0.6 > 1.0 ? expected[0] + 0.6 : 1.0);
+  EXPECT_EQ(factor1, expected[1] + 0.6 > 1.0 ? expected[1] + 0.6 : 1.0);
+  bus.SetDemand(0, 1, 0.7);
+  bus.SetDemand(0, 0, 0.0);
+  EXPECT_EQ(bus.StallFactor(0, 0.6), factor0);
+  EXPECT_EQ(bus.StallFactor(1, 0.6), factor1);
+  EXPECT_EQ(bus.TotalDemand(0), expected[0]);
+
+  // A real update bumps the socket's epoch: the same query recomputes from
+  // the new total, and the other socket keeps its answer.
+  bus.SetDemand(0, 0, 0.9);
+  const double total0 = expected[0] + (0.9 - 0.0);
+  EXPECT_EQ(bus.TotalDemand(0), total0);
+  EXPECT_EQ(bus.StallFactor(0, 0.6), total0 + 0.6);
+  EXPECT_EQ(bus.StallFactor(1, 0.6), factor1);
+  bus.SetDemand(1, 2, 0.0);
+  const double total1 = expected[1] + (0.0 - 1.35);
+  EXPECT_EQ(bus.TotalDemand(1), total1);
+  EXPECT_EQ(bus.StallFactor(1, 0.6), total1 + 0.6 > 1.0 ? total1 + 0.6 : 1.0);
+}
+
+// Demand is stored by pCPU id alone, so a pCPU stays on the socket it first
+// registered on.
+TEST(MemBusTest, PcpuCannotMoveToAnotherSocket) {
+  MemBus bus(2, 1.0);
+  bus.SetDemand(0, 1, 0.5);
+  bus.SetDemand(0, 1, 0.0);
+  EXPECT_DEATH(bus.SetDemand(1, 1, 0.5), "another socket");
+}
+
 class LlcModelTest : public ::testing::Test {
  protected:
   HwParams params_;

@@ -2,6 +2,8 @@
 // blocking/wake, BOOST preemption, fairness, pools, migration.
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +89,85 @@ TEST(MachineTest, FinishedWorkloadLeavesCpu) {
   EXPECT_EQ(v->state, RunState::kFinished);
   // The survivor picks up the slack.
   EXPECT_GT(other->total_runtime, Ms(950));
+}
+
+// Runs one compute step, then blocks for good. With a kick time, a timer
+// kicks the vCPU at that moment, truncating whatever step is running.
+class OneStepModel : public WorkloadModel {
+ public:
+  explicit OneStepModel(TimeNs kick_at) : kick_at_(kick_at) {}
+
+  void OnAttach(WorkloadHost* host, int vcpu) override {
+    WorkloadModel::OnAttach(host, vcpu);
+    if (kick_at_ > 0) {
+      host->ScheduleTimer(kick_at_, vcpu, /*tag=*/0);
+    }
+  }
+  Step NextStep(TimeNs) override {
+    if (issued_) {
+      return Step::Block();
+    }
+    issued_ = true;
+    MemProfile mem;
+    mem.wss_bytes = 3 * 1024 * 1024;
+    mem.llc_refs_per_ns = 0.037;
+    mem.instructions_per_ns = 1.3;
+    return Step::Compute(Us(777) + 1, mem);
+  }
+  void OnStepEnd(TimeNs now, const Step&, TimeNs work_done, bool completed) override {
+    end_time = now;
+    work = work_done;
+    step_completed = completed;
+    ++step_ends;
+  }
+  void OnTimer(TimeNs, int) override { host_->KickVcpu(vcpu_); }
+  std::string Name() const override { return "one_step"; }
+  PerfReport Report(TimeNs) const override { return {}; }
+  void ResetMetrics(TimeNs) override {}
+
+  TimeNs end_time = -1;
+  TimeNs work = -1;
+  bool step_completed = false;
+  int step_ends = 0;
+
+ private:
+  TimeNs kick_at_;
+  bool issued_ = false;
+};
+
+// A step truncated exactly at its planned end (a kick sequenced just ahead
+// of the step's own segment end) runs the pro-rating with frac == 1.0; it
+// must account exactly what the completed step does.
+TEST(MachineTest, StepTruncatedAtItsPlannedEndAccountsLikeACompletedStep) {
+  Simulation sim_a;
+  Machine a(sim_a, SmallConfig());
+  auto model_a = std::make_unique<OneStepModel>(/*kick_at=*/0);
+  const OneStepModel* completed = model_a.get();
+  Vcpu* va = a.AddVcpu(a.AddVm("vm"), std::move(model_a));
+  a.Start();
+  sim_a.RunUntil(Ms(5));
+  ASSERT_EQ(completed->step_ends, 1);
+  ASSERT_TRUE(completed->step_completed);
+
+  Simulation sim_b;
+  Machine b(sim_b, SmallConfig());
+  auto model_b = std::make_unique<OneStepModel>(/*kick_at=*/completed->end_time);
+  const OneStepModel* truncated = model_b.get();
+  Vcpu* vb = b.AddVcpu(b.AddVm("vm"), std::move(model_b));
+  b.Start();
+  sim_b.RunUntil(Ms(5));
+  ASSERT_EQ(truncated->step_ends, 1);
+  EXPECT_FALSE(truncated->step_completed);  // the kick ended it
+  EXPECT_EQ(truncated->end_time, completed->end_time);
+
+  EXPECT_EQ(truncated->work, completed->work);
+  EXPECT_EQ(truncated->work, Us(777) + 1);
+  EXPECT_GT(va->pmu.llc_misses, 0u);
+  EXPECT_EQ(vb->pmu.instructions, va->pmu.instructions);
+  EXPECT_EQ(vb->pmu.llc_references, va->pmu.llc_references);
+  EXPECT_EQ(vb->pmu.llc_misses, va->pmu.llc_misses);
+  EXPECT_EQ(vb->pmu.remote_accesses, va->pmu.remote_accesses);
+  EXPECT_EQ(b.llc().Occupancy(0, vb->id()), a.llc().Occupancy(0, va->id()));
 }
 
 TEST(MachineTest, BlockedIoVcpuWakesOnEvent) {

@@ -91,20 +91,41 @@ TEST(TimerCoreStressTest, MatchesReferenceUnderRandomInterleavings) {
       return r == 3 ? kDefaultRank : static_cast<EventRank>(r);
     };
 
-    // Fixed slots with their own ranks and pop logs.
-    constexpr int kSlots = 3;
+    // Fixed slots with their own ranks and pop logs: more slots than fit
+    // one cache line of deadlines. A firing slot re-arms itself from inside
+    // its callback about a third of the time, as the Machine's segment
+    // slots do after every completed step.
+    constexpr int kSlots = 16;
     EventQueue::SlotId slots[kSlots];
     EventRank slot_ranks[kSlots];
-    uint64_t slot_tokens[kSlots] = {0, 0, 0};
+    uint64_t slot_tokens[kSlots] = {};
+    const auto arm = [&](int s, TimeNs when) {
+      if (slot_tokens[s] != 0) {
+        ref.Cancel(slot_tokens[s]);
+      }
+      slot_tokens[s] = ref.Schedule(when, slot_ranks[s]);
+      q.ArmSlot(slots[s], when);
+    };
+    const auto on_slot = [&](int s, TimeNs now) {
+      popped.push_back(slot_tokens[s]);
+      slot_tokens[s] = 0;
+      if (rng.UniformInt(0, 2) == 0) {
+        arm(s, now + rng.UniformInt(0, 12));
+      }
+    };
+    // One handler object per slot; the queue may keep a reference to it.
+    struct SlotHandler {
+      const decltype(on_slot)* fire;
+      int slot;
+      void operator()(TimeNs now) const { (*fire)(slot, now); }
+    };
+    std::vector<SlotHandler> handlers;
     for (int s = 0; s < kSlots; ++s) {
-      const int slot_index = s;
+      handlers.push_back(SlotHandler{&on_slot, s});
+    }
+    for (int s = 0; s < kSlots; ++s) {
       slot_ranks[s] = draw_rank();
-      slots[s] = q.RegisterSlot(
-          [&popped, &slot_tokens, slot_index](TimeNs) {
-            popped.push_back(slot_tokens[slot_index]);
-            slot_tokens[slot_index] = 0;
-          },
-          slot_ranks[s]);
+      slots[s] = q.RegisterSlot(handlers[static_cast<size_t>(s)], slot_ranks[s]);
     }
 
     for (int op = 0; op < 4000; ++op) {
@@ -128,12 +149,7 @@ TEST(TimerCoreStressTest, MatchesReferenceUnderRandomInterleavings) {
       } else if (kind == 6) {
         // Arm (or re-arm) a slot: reference sees cancel-old + schedule-new.
         const int s = static_cast<int>(rng.UniformInt(0, kSlots - 1));
-        const TimeNs when = q.Now() + rng.UniformInt(0, 12);
-        if (slot_tokens[s] != 0) {
-          ref.Cancel(slot_tokens[s]);
-        }
-        slot_tokens[s] = ref.Schedule(when, slot_ranks[s]);
-        q.ArmSlot(slots[s], when);
+        arm(s, q.Now() + rng.UniformInt(0, 12));
       } else if (kind == 7) {
         const int s = static_cast<int>(rng.UniformInt(0, kSlots - 1));
         const bool was_armed = q.SlotArmed(slots[s]);
@@ -144,7 +160,9 @@ TEST(TimerCoreStressTest, MatchesReferenceUnderRandomInterleavings) {
           slot_tokens[s] = 0;
         }
       } else {
-        // Pop once on both sides; order (including ties) must agree.
+        // Pop once on both sides; order (including ties) must agree. The
+        // reference pops first: a slot callback may re-arm, which schedules
+        // on both sides from inside RunNext.
         EXPECT_EQ(q.NextTime(), ref.NextTime()) << "seed " << seed;
         EXPECT_EQ(q.LiveCount(), ref.Size()) << "seed " << seed;
         if (!ref.Empty()) {
@@ -170,6 +188,41 @@ TEST(TimerCoreStressTest, MatchesReferenceUnderRandomInterleavings) {
     EXPECT_TRUE(q.Empty());
     EXPECT_EQ(popped, ref_popped) << "seed " << seed;
   }
+}
+
+// A slot armed at kTimeInfinite is a live event like any other: it ties
+// with heap events at kTimeInfinite by (rank, seq), and it pops.
+TEST(TimerCoreTest, SlotAtInfinityTiesWithHeapEventsAtInfinity) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto on_slot = [&](TimeNs) { order.push_back(100); };
+  const auto on_rank1_slot = [&](TimeNs) { order.push_back(101); };
+  const EventQueue::SlotId slot = q.RegisterSlot(on_slot);
+  const EventQueue::SlotId rank1_slot = q.RegisterSlot(on_rank1_slot, /*rank=*/1);
+  q.ScheduleAt(kTimeInfinite, [&](TimeNs) { order.push_back(1); });
+  q.ArmSlot(slot, kTimeInfinite);
+  q.ScheduleAt(kTimeInfinite, [&](TimeNs) { order.push_back(2); });
+  q.ScheduleAt(kTimeInfinite, [&](TimeNs) { order.push_back(3); }, /*rank=*/2);
+  q.ArmSlot(rank1_slot, kTimeInfinite);
+  EXPECT_EQ(q.LiveCount(), 5u);
+  EXPECT_EQ(q.NextTime(), kTimeInfinite);
+  EXPECT_TRUE(q.SlotArmed(slot));
+
+  ASSERT_TRUE(q.RunNextIfBefore(kTimeInfinite));  // rank 1 first
+  EXPECT_EQ(q.Now(), kTimeInfinite);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{101, 3, 1, 100, 2}));
+  EXPECT_TRUE(q.Empty());
+  EXPECT_FALSE(q.SlotArmed(slot));
+  EXPECT_EQ(q.NextTime(), kTimeInfinite);
+
+  // A slot alone at infinity is still an event, not "nothing left".
+  q.ArmSlot(slot, kTimeInfinite);
+  EXPECT_FALSE(q.Empty());
+  ASSERT_TRUE(q.RunNext());
+  EXPECT_EQ(order.back(), 100);
+  EXPECT_FALSE(q.RunNext());
 }
 
 TEST(TimerCoreTest, StaleCancelIsACheckedNoOp) {
@@ -205,7 +258,8 @@ TEST(TimerCoreTest, StaleCancelIsACheckedNoOp) {
 TEST(TimerCoreTest, SlotRearmOverwritesDeadline) {
   EventQueue q;
   std::vector<TimeNs> fired;
-  const EventQueue::SlotId slot = q.RegisterSlot([&](TimeNs now) { fired.push_back(now); });
+  const auto on_slot = [&](TimeNs now) { fired.push_back(now); };
+  const EventQueue::SlotId slot = q.RegisterSlot(on_slot);
   EXPECT_FALSE(q.SlotArmed(slot));
 
   q.ArmSlot(slot, 10);
@@ -231,7 +285,8 @@ TEST(TimerCoreTest, SlotRearmOverwritesDeadline) {
 TEST(TimerCoreTest, SlotAndDynamicEventsShareTheTieBreakOrder) {
   EventQueue q;
   std::vector<int> order;
-  const EventQueue::SlotId slot = q.RegisterSlot([&](TimeNs) { order.push_back(100); });
+  const auto on_slot = [&](TimeNs) { order.push_back(100); };
+  const EventQueue::SlotId slot = q.RegisterSlot(on_slot);
   // seq 1: dynamic at t=5; seq 2: slot armed at t=5; seq 3: dynamic at t=5.
   q.ScheduleAt(5, [&](TimeNs) { order.push_back(1); });
   q.ArmSlot(slot, 5);
@@ -253,8 +308,8 @@ TEST(TimerCoreTest, SlotAndDynamicEventsShareTheTieBreakOrder) {
   // At equal time a lower rank runs first whatever its sequence number,
   // the default rank runs last, and sequence order holds within a rank.
   order.clear();
-  const EventQueue::SlotId rank1_slot =
-      q.RegisterSlot([&](TimeNs) { order.push_back(101); }, /*rank=*/1);
+  const auto on_rank1_slot = [&](TimeNs) { order.push_back(101); };
+  const EventQueue::SlotId rank1_slot = q.RegisterSlot(on_rank1_slot, /*rank=*/1);
   q.ScheduleAt(30, [&](TimeNs) { order.push_back(4); });  // default rank
   q.ScheduleAt(30, [&](TimeNs) { order.push_back(5); }, /*rank=*/2);
   q.ArmSlot(rank1_slot, 30);
