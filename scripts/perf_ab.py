@@ -22,8 +22,11 @@ the change wins and loses (ties count for neither), then a verdict:
 * same -- anything else.
 
 It also prints each side's failed/attempted operation share and how many of
-its runs printed "digest unchanged". The exit status is 1 when any metric is
-a REGRESSION or the change fails a larger share of operations than the base
+its runs printed "digest unchanged" (a match with the digests the benchmark
+records), and in how many pairs the two sides printed the same result
+digests (its `digest <workload> seed <n>: <hex>` lines), which is what a
+speed-only change keeps. The exit status is 1 when any metric is a
+REGRESSION or the change fails a larger share of operations than the base
 on any workload, else 0.
 
 Last, a normalizer witness: the address mod 64 of the benchmark's reference
@@ -38,6 +41,7 @@ changes no verdict and no exit status.
 
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -50,6 +54,8 @@ PAIRS = 10
 WIN_SHARE = 0.9
 # perfbench::ReferenceSliceSeconds(), the host-speed normalizer's kernel.
 KERNEL_SYMBOL = "_ZN9perfbench21ReferenceSliceSecondsEv"
+# A result digest line: "digest <workload> seed <n>: <hex>".
+DIGEST_LINE = re.compile(r"digest \S+ seed \S+: \S+")
 
 
 def compare(base, change, better, bound):
@@ -77,7 +83,8 @@ def compare(base, change, better, bound):
 
 
 def run_once(tree, command, workload, seconds):
-    """One benchmark run in `tree`: (result dict, printed 'digest unchanged')."""
+    """One benchmark run in `tree`: (result dict, printed 'digest unchanged',
+    tuple of its result digest lines)."""
     proc = subprocess.run(command + ["--workload", workload, "--seconds", str(seconds)],
                           cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
@@ -87,7 +94,8 @@ def run_once(tree, command, workload, seconds):
         # No result line (a failed build, a usage error): one failed attempt.
         sys.stderr.write(proc.stderr[-2000:])
         result = {"attempted": 1, "failed": 1, "metrics": {}}
-    return result, "digest unchanged" in lines
+    digests = tuple(line for line in lines if DIGEST_LINE.fullmatch(line))
+    return result, "digest unchanged" in lines, digests
 
 
 def report(workload, metrics, base_runs, change_runs):
@@ -99,7 +107,7 @@ def report(workload, metrics, base_runs, change_runs):
     for metric in metrics:
         name = metric["name"]
         pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
-                 for (b, _), (c, _) in zip(base_runs, change_runs)
+                 for (b, _, _), (c, _, _) in zip(base_runs, change_runs)
                  if name in b["metrics"] and name in c["metrics"]]
         if len(pairs) < 2:
             continue
@@ -111,12 +119,14 @@ def report(workload, metrics, base_runs, change_runs):
               f"{iqr:>10.3g} {wins:>5} {losses:>6}  {verdict}")
     shares = []
     for side, runs in (("base", base_runs), ("change", change_runs)):
-        attempted = sum(r["attempted"] for r, _ in runs)
-        bad = sum(r["failed"] for r, _ in runs)
+        attempted = sum(r["attempted"] for r, _, _ in runs)
+        bad = sum(r["failed"] for r, _, _ in runs)
         shares.append(bad / attempted if attempted else 1.0)
-        unchanged = sum(1 for _, digest in runs if digest)
+        unchanged = sum(1 for _, digest, _ in runs if digest)
         print(f"{side}: failed/attempted {bad}/{attempted}, "
               f"digest unchanged in {unchanged}/{len(runs)} runs")
+    equal = sum(1 for (_, _, b), (_, _, c) in zip(base_runs, change_runs) if b and b == c)
+    print(f"digests equal base vs change in {equal}/{len(base_runs)} pairs")
     if shares[1] > shares[0]:
         print("the change fails a larger share of operations than the base")
         failed = True
@@ -178,10 +188,10 @@ def main(argv):
             for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    result, digest = run_once(sides[side], bench["command"], workload,
-                                              bench["run_seconds"])
-                    runs[side].append((result, digest))
-                    value = result["metrics"].get(headline, {}).get("value")
+                    run = run_once(sides[side], bench["command"], workload,
+                                   bench["run_seconds"])
+                    runs[side].append(run)
+                    value = run[0]["metrics"].get(headline, {}).get("value")
                     print(f"[{workload} pair {i + 1}/{PAIRS}] {side}: {headline} {value}",
                           file=sys.stderr, flush=True)
             failed = report(workload, bench["end_to_end"], runs["base"], runs["change"]) or failed

@@ -157,9 +157,11 @@ class WitnessTest(unittest.TestCase):
 
 
 # Stub benchmark: prints a fixed result; in a tree holding a file named
-# FAIL it reports 2 of 100 operations failed.
+# FAIL it reports 2 of 100 operations failed, and in one holding a file
+# named MOVED it prints another result digest.
 STUB_RUN = '''import json, os
 failed = 2 if os.path.exists("FAIL") else 0
+print("digest stub seed 1: " + ("5eed" if os.path.exists("MOVED") else "c0de"))
 print("digest unchanged")
 print(json.dumps({"correct": not failed, "attempted": 100, "failed": failed,
                   "metrics": {"sim_speed": {"value": 700.0, "unit": "sim_s/s"}}}))
@@ -201,12 +203,20 @@ class PerfAbScriptTest(unittest.TestCase):
         self.assertRegex(proc.stdout, r"sim_speed +700 +700 +0 +0 +0  same")
         self.assertIn("change: failed/attempted 0/1000, digest unchanged in 10/10 runs",
                       proc.stdout)
+        self.assertIn("digests equal base vs change in 10/10 pairs", proc.stdout)
         self.assertEqual(len(self.git("worktree", "list").splitlines()), 1)
         # The stub has no benchmark binary: the witness reads "unknown" on
         # both sides, which is no reason to warn or to fail.
         self.assertIn("ReferenceSliceSeconds address mod 64: base unknown, change unknown",
                       proc.stdout)
         self.assertNotIn("confounded", proc.stdout)
+
+    def test_different_digests_are_counted_and_change_no_verdict(self):
+        open(os.path.join(self.repo, "MOVED"), "w").close()
+        proc = self.ab()
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("digests equal base vs change in 0/10 pairs", proc.stdout)
+        self.assertRegex(proc.stdout, r"sim_speed +700 +700 +0 +0 +0  same")
 
     def test_larger_failed_share_exits_1(self):
         open(os.path.join(self.repo, "FAIL"), "w").close()

@@ -159,10 +159,10 @@ class MemPressureScheduler : public ClusterScheduler {
 
   std::vector<FleetMigration> Rebalance(const std::vector<FleetHostView>& hosts,
                                         const std::vector<FleetVmView>& vms) override {
-    // Balance the static per-host bandwidth-consumer population (the
-    // deterministic stand-in for time-averaged per-VM MemBus attribution;
-    // the instantaneous TotalDemand reading ranks identically once steps
-    // are in flight but flaps during rebuild warm-up).
+    // Balance the static per-host bandwidth-consumer population, the
+    // deterministic stand-in for time-averaged per-VM MemBus attribution.
+    // The views carry no live bus reading: an instantaneous one would flap
+    // during rebuild warm-up.
     return ProposeMoves(
         hosts, vms, [](const FleetHostView& h) { return h.mem_heavy_vcpus; },
         [](const FleetVmView& v) { return v.mem_heavy; },

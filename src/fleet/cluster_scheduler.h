@@ -20,7 +20,6 @@
 #ifndef AQLSCHED_SRC_FLEET_CLUSTER_SCHEDULER_H_
 #define AQLSCHED_SRC_FLEET_CLUSTER_SCHEDULER_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,10 +30,9 @@ enum class ClusterPolicy { kNaive, kMemPressure, kCacheAware };
 
 const char* ClusterPolicyName(ClusterPolicy policy);
 
-// Per-VM view at decision time. The static classification comes from the
-// catalog's expected type (the stand-in for PMU-attributed per-VM counters a
-// production placer would sample); the occupancy field is read live from the
-// host's LLC model.
+// Per-VM view at decision time. The classification comes from the catalog's
+// expected type (the stand-in for PMU-attributed per-VM counters a
+// production placer would sample).
 struct FleetVmView {
   int vm = 0;    // fleet-wide VM index
   int host = -1; // current host, -1 while unplaced
@@ -45,8 +43,6 @@ struct FleetVmView {
   // Expected LLCO or MemBw: saturates the socket's DRAM bandwidth (the
   // mem-pressure policy's target).
   bool mem_heavy = false;
-  // Live resident LLC bytes across the host's sockets (0 while unplaced).
-  uint64_t llc_occupancy = 0;
 };
 
 // Per-host view at decision time.
@@ -57,10 +53,6 @@ struct FleetHostView {
   bool draining = false;  // evacuating or already offline: never a target
   int trashers = 0;    // placed llc_trasher VMs
   int mem_heavy_vcpus = 0;  // vCPUs of placed mem_heavy VMs
-  // Live aggregate MemBus demand (bytes/ns) and LLC occupancy across the
-  // host's sockets; 0 for hosts without a running machine.
-  double bus_demand = 0.0;
-  uint64_t llc_occupancy = 0;
 };
 
 struct FleetMigration {

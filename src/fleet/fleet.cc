@@ -337,13 +337,6 @@ std::vector<FleetHostView> FleetRun::HostViews() const {
         view.mem_heavy_vcpus += vs.spec.vcpus;
       }
     }
-    if (host.machine != nullptr) {
-      const int sockets = spec_.host_template.topology.sockets;
-      for (int s = 0; s < sockets; ++s) {
-        view.bus_demand += host.machine->mem_bus().TotalDemand(s);
-        view.llc_occupancy += host.machine->llc().TotalOccupancy(s);
-      }
-    }
   }
   return out;
 }
@@ -357,26 +350,6 @@ std::vector<FleetVmView> FleetRun::VmViews() const {
     view.vcpus = vms_[i].spec.vcpus;
     view.llc_trasher = vms_[i].llc_trasher;
     view.mem_heavy = vms_[i].mem_heavy;
-    if (vms_[i].host < 0) {
-      continue;  // crashed, waiting in the recovery queue: occupies nothing
-    }
-    const HostState& host = hosts_[static_cast<size_t>(vms_[i].host)];
-    if (host.machine != nullptr) {
-      // Locate the VM's vCPU range in the host's current build.
-      for (size_t j = 0; j < host.vms.size(); ++j) {
-        if (host.vms[j] != static_cast<int>(i)) {
-          continue;
-        }
-        const auto [first, count] = host.ranges[j];
-        const int sockets = spec_.host_template.topology.sockets;
-        for (int k = 0; k < count; ++k) {
-          for (int s = 0; s < sockets; ++s) {
-            view.llc_occupancy += host.machine->llc().Occupancy(s, first + k);
-          }
-        }
-        break;
-      }
-    }
   }
   return out;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "src/hv/placement.h"
@@ -205,17 +207,15 @@ void Machine::NotifyIoEvent(int vcpu_id) {
   Vcpu* v = vcpu(vcpu_id);
   channel_.Notify(vcpu_id);
   v->pmu.io_events += 1;
-  RunOrDefer([this, v] { WakeImpl(v, /*io_event=*/true); });
+  RunOrDefer(Deferred{v, /*kick=*/false});
 }
 
 void Machine::KickVcpu(int vcpu_id) {
-  Vcpu* v = vcpu(vcpu_id);
-  RunOrDefer([this, v] { KickImpl(v); });
+  RunOrDefer(Deferred{vcpu(vcpu_id), /*kick=*/true});
 }
 
 void Machine::WakeVcpu(int vcpu_id) {
-  Vcpu* v = vcpu(vcpu_id);
-  RunOrDefer([this, v] { WakeImpl(v, /*io_event=*/false); });
+  RunOrDefer(Deferred{vcpu(vcpu_id), /*kick=*/false});
 }
 
 void Machine::CountPauseExits(int vcpu_id, uint64_t n) {
@@ -285,7 +285,13 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
   AQL_CHECK(v != nullptr);
   const TimeNs now = sim_.Now();
 
-  s.step = v->workload()->NextStep(now);
+  // The model builds its step straight into s.step: no temporary, no copy.
+  // Safe because every caller holds the guard, so a host call made from
+  // inside NextStep is deferred and never sees a half-built step.
+  static_assert(std::is_trivially_copyable_v<Step> &&
+                std::is_trivially_destructible_v<Step>);
+  AQL_CHECK(processing_);
+  ::new (&s.step) Step(v->workload()->NextStep(now));
   s.step_start = now;
   s.step_refs = 0;
   s.step_misses = 0;
@@ -325,14 +331,17 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
       // Memory-bus contention: when the socket's co-running fetch demand
       // exceeds the controller bandwidth, memory stalls stretch. The factor
       // is sampled once at step start (steps are at most one quantum long).
-      const double demand =
-          stall > 0 ? static_cast<double>(misses) *
-                          static_cast<double>(config_.hw.cache_line_bytes) /
-                          static_cast<double>(work + stall)
-                    : 0.0;
-      const double factor = mem_bus_.StallFactor(socket, demand);
-      stall = static_cast<TimeNs>(static_cast<double>(stall) * factor);
-      mem_bus_.SetDemand(socket, pcpu, demand);
+      // An unmodeled bus registers no demand: its factor is always 1.0.
+      if (mem_bus_.bandwidth() > 0.0) {
+        const double demand =
+            stall > 0 ? static_cast<double>(misses) *
+                            static_cast<double>(config_.hw.cache_line_bytes) /
+                            static_cast<double>(work + stall)
+                      : 0.0;
+        const double factor = mem_bus_.StallFactor(socket, demand);
+        stall = static_cast<TimeNs>(static_cast<double>(stall) * factor);
+        mem_bus_.SetDemand(socket, pcpu, demand);
+      }
       if (profile_ != nullptr) {
         profile_->llc_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() - llc_start)
@@ -467,7 +476,9 @@ void Machine::FinishCurrent(int pcpu) {
       AQL_CHECK_MSG(false, "EndStep on non-executing step");
   }
   // The step no longer occupies the memory bus (the pCPU may go idle next).
-  mem_bus_.SetDemand(s.socket, pcpu, 0.0);
+  if (mem_bus_.bandwidth() > 0.0) {
+    mem_bus_.SetDemand(s.socket, pcpu, 0.0);
+  }
 }
 
 void Machine::TruncateStep(int pcpu) {
@@ -539,7 +550,7 @@ void Machine::BlockCurrent(int pcpu, TimeNs wake_at) {
         [this, v](TimeNs) {
           v->wake_event = kInvalidEventId;
           processing_ = true;
-          WakeImpl(v, /*io_event=*/false);
+          WakeImpl(v);
           processing_ = false;
           Drain();
         },
@@ -561,8 +572,7 @@ const std::vector<bool>& Machine::IdleFlags() {
   return idle_scratch_;
 }
 
-void Machine::WakeImpl(Vcpu* v, bool io_event) {
-  (void)io_event;
+void Machine::WakeImpl(Vcpu* v) {
   if (v->state != RunState::kBlocked) {
     return;  // already runnable/running: the event was delivered to the model
   }
@@ -814,31 +824,29 @@ inline void Machine::Drain() {
 
 void Machine::RunDeferred() {
   // Hold the guard while draining: operations triggered from inside a
-  // drained callback (e.g. a spin-lock handoff kicked from OnStepEnd) are
+  // drained one (e.g. a spin-lock handoff kicked from OnStepEnd) are
   // themselves deferred into the next batch instead of interleaving with a
   // half-finished dispatch operation.
   processing_ = true;
   // Index loop instead of batch-swapping vectors: operations deferred from
-  // inside a drained callback append behind the cursor and run in the same
-  // FIFO order as the old batch scheme, but the vector's capacity survives
-  // across drains (no per-drain allocation). Move each callback out before
-  // invoking it — the push_back it may trigger can reallocate the vector.
+  // inside a drained one append behind the cursor and run in the same FIFO
+  // order as the old batch scheme, but the vector's capacity survives across
+  // drains (no per-drain allocation). Copy each record out before running
+  // it: the push_back it may trigger can reallocate the vector.
   for (size_t i = 0; i < deferred_.size(); ++i) {
-    std::function<void()> f = std::move(deferred_[i]);
-    f();
+    Run(deferred_[i]);
   }
   deferred_.clear();
   processing_ = false;
 }
 
-template <typename F>
-void Machine::RunOrDefer(F&& f) {
+void Machine::RunOrDefer(Deferred op) {
   if (processing_) {
-    deferred_.push_back(std::forward<F>(f));
+    deferred_.push_back(op);
     return;
   }
   processing_ = true;
-  f();
+  Run(op);
   processing_ = false;
   Drain();
 }

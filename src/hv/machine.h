@@ -228,7 +228,7 @@ class Machine : public WorkloadHost {
   void ChargeRuntime(int pcpu, Vcpu* v);
 
   // Wake path.
-  void WakeImpl(Vcpu* v, bool io_event);
+  void WakeImpl(Vcpu* v);
   void KickImpl(Vcpu* v);
   void MaybePreempt(int pcpu);
   // Fills and returns the idle flags the wake path feeds to ChooseWakePcpu
@@ -249,11 +249,17 @@ class Machine : public WorkloadHost {
 
   // Reentrancy guard: workload callbacks issued while the machine is
   // mid-operation are deferred and drained at a consistent point. Drain
-  // returns at once when nothing is deferred (the common case).
+  // returns at once when nothing is deferred (the common case). A deferred
+  // operation is a wake (an I/O event's or a plain one: both run WakeImpl)
+  // or a kick of one vCPU.
+  struct Deferred {
+    Vcpu* v;
+    bool kick;
+  };
+  void Run(Deferred op) { op.kick ? KickImpl(op.v) : WakeImpl(op.v); }
   void Drain();
   void RunDeferred();
-  template <typename F>
-  void RunOrDefer(F&& f);
+  void RunOrDefer(Deferred op);
 
   Simulation& sim_;
   MachineConfig config_;
@@ -273,7 +279,7 @@ class Machine : public WorkloadHost {
   // topology.sockets > 1: the multi-socket model rules apply.
   bool multi_socket_ = false;
   bool processing_ = false;
-  std::vector<std::function<void()>> deferred_;
+  std::vector<Deferred> deferred_;
 
   // Multi-socket only: per-VM workload RNG streams (index = VM id).
   std::vector<Rng> vm_rngs_;

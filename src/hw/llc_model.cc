@@ -116,15 +116,6 @@ uint64_t LlcModel::TotalOccupancy(int socket) const {
   return total;
 }
 
-MemBus::MemBus(int sockets, double bw_bytes_per_ns)
-    : bw_(bw_bytes_per_ns),
-      total_(static_cast<size_t>(sockets), 0.0),
-      epoch_(static_cast<size_t>(sockets), 1),
-      memo_(static_cast<size_t>(sockets)) {
-  AQL_CHECK(sockets >= 1);
-  AQL_CHECK(bw_bytes_per_ns >= 0.0);
-}
-
 void MemBus::Bind(int socket, int pcpu) {
   if (static_cast<size_t>(pcpu) >= demand_.size()) {
     demand_.resize(static_cast<size_t>(pcpu) + 1);

@@ -131,11 +131,16 @@ class LlcModel {
 //
 // Demand lives in one flat vector indexed by pcpu id (a pCPU registers on
 // one socket only), with per-socket running totals kept by `total += new -
-// old`. StallFactor is memoized per (socket, demand epoch, extra demand);
-// the epoch advances only when a SetDemand actually changes a slot.
+// old`. StallFactor is not memoized: on a modeled bus every demand-bearing
+// step changes its socket's total twice (the machine clears the demand at
+// step end and sets it at step start), so a memo keyed on it is stale.
 class MemBus {
  public:
-  MemBus(int sockets, double bw_bytes_per_ns);
+  MemBus(int sockets, double bw_bytes_per_ns)
+      : bw_(bw_bytes_per_ns), total_(static_cast<size_t>(sockets), 0.0) {
+    AQL_CHECK(sockets >= 1);
+    AQL_CHECK(bw_bytes_per_ns >= 0.0);
+  }
 
   // Registers/updates `pcpu`'s demand on `socket` (0 clears it).
   void SetDemand(int socket, int pcpu, double bytes_per_ns);
@@ -151,11 +156,6 @@ class MemBus {
   double bandwidth() const { return bw_; }
 
  private:
-  struct StallMemo {
-    uint64_t epoch = 0;  // 0 never matches (socket epochs start at 1)
-    double extra = 0.0;
-    double factor = 1.0;
-  };
   struct PcpuDemand {
     double bytes_per_ns = 0.0;
     int socket = -1;  // bound by the pCPU's first SetDemand
@@ -168,8 +168,6 @@ class MemBus {
   double bw_;
   std::vector<PcpuDemand> demand_;  // by pcpu id (grown on demand; ids are dense)
   std::vector<double> total_;
-  std::vector<uint64_t> epoch_;
-  mutable std::vector<StallMemo> memo_;  // logically-const cache
 };
 
 // Hot-path members, defined here so the dispatcher's per-step calls compile
@@ -240,13 +238,11 @@ inline void MemBus::SetDemand(int socket, int pcpu, double bytes_per_ns) {
   double& slot = demand_[static_cast<size_t>(pcpu)].bytes_per_ns;
   if (bytes_per_ns == slot) {
     // No change: skipping the `total += new - old` of an exact zero delta is
-    // bit-safe (totals are never -0.0, so x + 0.0 == x), and it keeps the
-    // epoch stable for the StallFactor memo.
+    // bit-safe (totals are never -0.0, so x + 0.0 == x).
     return;
   }
   total_[static_cast<size_t>(socket)] += bytes_per_ns - slot;
   slot = bytes_per_ns;
-  ++epoch_[static_cast<size_t>(socket)];
 }
 
 inline double MemBus::StallFactor(int socket, double extra_demand) const {
@@ -254,15 +250,8 @@ inline double MemBus::StallFactor(int socket, double extra_demand) const {
     return 1.0;
   }
   AQL_CHECK(socket >= 0 && socket < static_cast<int>(total_.size()));
-  StallMemo& memo = memo_[static_cast<size_t>(socket)];
-  if (memo.epoch == epoch_[static_cast<size_t>(socket)] && memo.extra == extra_demand) {
-    return memo.factor;
-  }
   const double demand = total_[static_cast<size_t>(socket)] + extra_demand;
-  memo.epoch = epoch_[static_cast<size_t>(socket)];
-  memo.extra = extra_demand;
-  memo.factor = demand > bw_ ? demand / bw_ : 1.0;
-  return memo.factor;
+  return demand > bw_ ? demand / bw_ : 1.0;
 }
 
 }  // namespace aql

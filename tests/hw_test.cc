@@ -88,8 +88,8 @@ TEST(MemBusTest, DemandUpdatesAndClears) {
 // layout: each socket's total is the running `total += new - old` over the
 // updates of its own pCPUs, an update that changes nothing leaves every
 // answer bit-identical, and a real update is seen by the next StallFactor
-// even when the memo was just filled with the same extra demand.
-TEST(MemBusTest, TotalsAndMemoArePinnedAcrossSockets) {
+// with the same extra demand.
+TEST(MemBusTest, TotalsAndFactorsArePinnedAcrossSockets) {
   MemBus bus(2, 1.0);
   // Socket 0 owns pCPUs 0-1, socket 1 pCPUs 2-3 (as a Machine numbers them).
   double expected[2] = {0.0, 0.0};
@@ -114,8 +114,8 @@ TEST(MemBusTest, TotalsAndMemoArePinnedAcrossSockets) {
   set(0, 0, 0.0);
   set(1, 3, 0.2);
 
-  // Memo filled; a no-op update (same value, and clearing an empty pCPU)
-  // changes no answer.
+  // A no-op update (same value, and clearing an empty pCPU) changes no
+  // answer.
   const double factor0 = bus.StallFactor(0, 0.6);
   const double factor1 = bus.StallFactor(1, 0.6);
   EXPECT_EQ(factor0, expected[0] + 0.6 > 1.0 ? expected[0] + 0.6 : 1.0);
@@ -126,8 +126,8 @@ TEST(MemBusTest, TotalsAndMemoArePinnedAcrossSockets) {
   EXPECT_EQ(bus.StallFactor(1, 0.6), factor1);
   EXPECT_EQ(bus.TotalDemand(0), expected[0]);
 
-  // A real update bumps the socket's epoch: the same query recomputes from
-  // the new total, and the other socket keeps its answer.
+  // After a real update the same query answers from the new total, and the
+  // other socket keeps its answer.
   bus.SetDemand(0, 0, 0.9);
   const double total0 = expected[0] + (0.9 - 0.0);
   EXPECT_EQ(bus.TotalDemand(0), total0);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -168,6 +169,106 @@ TEST(MachineTest, StepTruncatedAtItsPlannedEndAccountsLikeACompletedStep) {
   EXPECT_EQ(vb->pmu.llc_misses, va->pmu.llc_misses);
   EXPECT_EQ(vb->pmu.remote_accesses, va->pmu.remote_accesses);
   EXPECT_EQ(b.llc().Occupancy(0, vb->id()), a.llc().Occupancy(0, va->id()));
+}
+
+// An unmodeled bus (the i7-3770 rig: mem_bw_bytes_per_ns == 0) never stalls,
+// so a compute step registers no demand on it, even one that misses.
+TEST(MachineTest, UnmodeledBusRegistersNoDemand) {
+  Simulation sim;
+  Machine m(sim, SmallConfig());
+  ASSERT_EQ(m.mem_bus().bandwidth(), 0.0);
+  Vcpu* v = m.AddVcpu(m.AddVm("vm"), std::make_unique<OneStepModel>(/*kick_at=*/0));
+  m.Start();
+  sim.RunUntil(Us(100));
+  ASSERT_EQ(m.RunningOn(0), v);  // the step is in flight
+  EXPECT_EQ(m.mem_bus().TotalDemand(0), 0.0);
+  sim.RunUntil(Ms(5));
+  EXPECT_GT(v->pmu.llc_misses, 0u);
+  EXPECT_EQ(m.mem_bus().TotalDemand(0), 0.0);
+}
+
+// A modeled bus (E5-4603) carries a missing step's demand while the step is
+// in flight and drops it when the pCPU goes idle.
+TEST(MachineTest, ModeledBusCarriesDemandOnlyWhileTheStepRuns) {
+  Simulation sim;
+  MachineConfig mc;
+  mc.topology = MakeE54603Topology();
+  Machine m(sim, mc);
+  ASSERT_GT(m.mem_bus().bandwidth(), 0.0);
+  Vcpu* v = m.AddVcpu(m.AddVm("vm"), std::make_unique<OneStepModel>(/*kick_at=*/0));
+  m.Start();
+  sim.RunUntil(Us(100));
+  ASSERT_EQ(m.RunningOn(0), v);
+  EXPECT_GT(m.mem_bus().TotalDemand(0), 0.0);
+  sim.RunUntil(Ms(5));
+  ASSERT_EQ(m.RunningOn(0), nullptr);  // the model blocked for good
+  EXPECT_GT(v->pmu.llc_misses, 0u);
+  EXPECT_EQ(m.mem_bus().TotalDemand(0), 0.0);
+}
+
+// Calls the host on its own vCPU from inside NextStep: a kick with its
+// first compute step, a wake with the block that follows the second. The
+// machine defers both until the step is armed: the kick then truncates the
+// step it was issued with, and the wake ends the block at once (run before
+// it, it would find the vCPU running, do nothing, and leave it blocked for
+// good).
+class SelfCallingModel : public WorkloadModel {
+ public:
+  Step NextStep(TimeNs) override {
+    ++next_steps;
+    switch (next_steps) {
+      case 1:
+        host_->KickVcpu(vcpu_);
+        return Step::Compute(kWork, MemProfile());
+      case 2:
+        return Step::Compute(kWork, MemProfile());
+      case 3:
+        host_->WakeVcpu(vcpu_);
+        return Step::Block();
+      default:
+        return Step::Finished();
+    }
+  }
+  void OnStepEnd(TimeNs now, const Step& step, TimeNs work_done,
+                 bool completed) override {
+    ends.push_back({now, step.work, work_done, completed});
+  }
+  std::string Name() const override { return "self_calling"; }
+  PerfReport Report(TimeNs) const override { return {}; }
+  void ResetMetrics(TimeNs) override {}
+
+  static constexpr TimeNs kWork = Us(300);
+  struct End {
+    TimeNs now;
+    TimeNs step_work;
+    TimeNs work_done;
+    bool completed;
+  };
+  int next_steps = 0;
+  std::vector<End> ends;
+};
+
+TEST(MachineTest, HostCallsFromNextStepTakeEffectAfterTheStepIsArmed) {
+  Simulation sim;
+  Machine m(sim, SmallConfig());
+  auto model = std::make_unique<SelfCallingModel>();
+  const SelfCallingModel* self = model.get();
+  Vcpu* v = m.AddVcpu(m.AddVm("vm"), std::move(model));
+  m.Start();
+  sim.RunUntil(Ms(5));
+  EXPECT_EQ(v->state, RunState::kFinished);
+  EXPECT_EQ(self->next_steps, 4);
+  ASSERT_EQ(self->ends.size(), 2u);
+  // The kick ended the fully built first step at once, before any work.
+  EXPECT_EQ(self->ends[0].now, 0);
+  EXPECT_EQ(self->ends[0].step_work, SelfCallingModel::kWork);
+  EXPECT_EQ(self->ends[0].work_done, 0);
+  EXPECT_FALSE(self->ends[0].completed);
+  // The second step ran whole.
+  EXPECT_EQ(self->ends[1].step_work, SelfCallingModel::kWork);
+  EXPECT_EQ(self->ends[1].work_done, SelfCallingModel::kWork);
+  EXPECT_TRUE(self->ends[1].completed);
+  EXPECT_EQ(v->dispatches, 2u);  // first dispatch, then again after the wake
 }
 
 TEST(MachineTest, BlockedIoVcpuWakesOnEvent) {
